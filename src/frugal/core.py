@@ -15,8 +15,6 @@ from typing import Iterable, Union
 from . import flows
 from .errors import EnumerationCapError, MonopolyError, ValidationError
 
-DEFAULT_ENUM_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class UndirectedGraph:
@@ -169,7 +167,7 @@ def is_monopoly_free(system: SetSystemInstance, surviving: Iterable[int]) -> boo
 
 
 def minimal_feasible_sets(system: SetSystemInstance,
-                          cap: int = DEFAULT_ENUM_CAP) -> list[frozenset[int]]:
+                          cap: int = flows.DEFAULT_ENUM_CAP) -> list[frozenset[int]]:
     """Complete list of inclusion-minimal feasible sets, sorted lexicographically."""
     if isinstance(system, ExplicitSystem):
         sets = _inclusion_minima(list(system.feasible))
@@ -225,7 +223,7 @@ def _group_unions(system: ROutOfKSystem) -> list[frozenset[int]]:
 
 
 def restrict(system: SetSystemInstance, surviving: Iterable[int],
-             cap: int = DEFAULT_ENUM_CAP) -> ExplicitSystem:
+             cap: int = flows.DEFAULT_ENUM_CAP) -> ExplicitSystem:
     """Explicit system generated by the minimal feasible sets inside `surviving`.
 
     Agent ids are preserved; the surviving set becomes the ground set.

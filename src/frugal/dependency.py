@@ -9,11 +9,10 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import core, flows
 from .errors import MonopolyError
-
-DEFAULT_ENUM_CAP = core.DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,6 @@ class DependencyGraph:
 
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]  # pairs (a, b) with a < b
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
 
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -55,7 +51,7 @@ def components(h: DependencyGraph) -> list[frozenset[int]]:
 
 
 def build_dependency(restricted: core.SetSystemInstance,
-                     cap: int = DEFAULT_ENUM_CAP) -> DependencyGraph:
+                     cap: int = flows.DEFAULT_ENUM_CAP) -> DependencyGraph:
     """Dependency graph of a monopoly-free (restricted) system.
 
     Vertex-cover systems are their own dependency graph.  The generic
@@ -78,6 +74,21 @@ def build_dependency(restricted: core.SetSystemInstance,
             if not any(a not in m and b not in m for m in minimal):
                 edges.add((a, b))
     return DependencyGraph(tuple(agents), frozenset(edges))
+
+
+def multipartite_dependency(parts: Sequence[Sequence[int]]) -> DependencyGraph:
+    """Complete multipartite graph: agents in different parts are joined.
+
+    This is the dependency graph of an r-out-of-k system pruned to r+1
+    groups, whose parts are the groups' agent ids.
+    """
+    edges = set()
+    for i, part_a in enumerate(parts):
+        for part_b in parts[i + 1:]:
+            for u in part_a:
+                for v in part_b:
+                    edges.add((min(u, v), max(u, v)))
+    return DependencyGraph(tuple(sorted(a for part in parts for a in part)), frozenset(edges))
 
 
 def build_dependency_kpath(g: flows.DiGraph, gstar: flows.IntegralFlow,

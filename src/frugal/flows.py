@@ -212,6 +212,8 @@ def _lex_shortest_residual_path(g: DiGraph, usable: set[int], flow: list[int],
     path = []
     v = g.t
     while v != g.s:
+        if len(path) == n:
+            raise StructureError("residual parent pointers form a cycle")
         eid, forward, u = parent[v]
         path.append((eid, forward))
         v = u

@@ -7,6 +7,10 @@ min(t1, t2): t1 is the highest bid that still survives pruning, t2 the
 highest bid that still wins selection with the pruned set and weights
 held fixed.  Infinite thresholds are represented by math.inf, never by a
 large float.
+
+Every mechanism ends in `_pay`, the single payment path: it picks the
+winners to pay, asks the mechanism's own `thresholds(e) -> (t1, t2)` for
+each of them, checks payment >= bid and builds the `MechanismOutcome`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
 
 PAY_TOL = 1e-9
 EXACT_COVER_CAP = 30
+THRESHOLD_PROBES = 32
 
 
 @dataclass(frozen=True)
@@ -50,28 +55,39 @@ def _check_bids(bids: Sequence[float], n: int):
             raise ValidationError(f"agent {e} has an invalid bid {b}")
 
 
-def _finalize(pruned, lifted, winners, t1, t2, bids) -> MechanismOutcome:
-    payments = {}
-    for e in t2:
-        payments[e] = min(t1.get(e, math.inf), t2[e])
+def _pay(pruned: Iterable[int], lifted: Optional[spectral.SpectralLift],
+         winners: frozenset[int], bids: Sequence[float],
+         payment_agents: Optional[Iterable[int]],
+         thresholds: Callable[[int], tuple[float, float]]) -> MechanismOutcome:
+    """Pay each winner in `payment_agents` (all winners by default) min(t1, t2).
+
+    `thresholds` is called once per paid winner, in increasing id order.
+    """
+    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
+    t1: dict[int, float] = {}
+    t2: dict[int, float] = {}
+    payments: dict[int, float] = {}
+    for e in sorted(targets):
+        t1[e], t2[e] = thresholds(e)
+        payments[e] = min(t1[e], t2[e])
         if payments[e] < bids[e] - PAY_TOL:
             raise StructureError(
                 f"payment {payments[e]} below bid {bids[e]} for winner {e}")
     return MechanismOutcome(
-        frozenset(pruned), lifted, frozenset(winners), dict(t1), dict(t2),
+        frozenset(pruned), lifted, frozenset(winners), t1, t2,
         payments, float(sum(payments.values())))
 
 
 def threshold_bid(win_predicate: Callable[[float], bool], upper: float,
-                  tol: float = 1e-9, probes: int = 32) -> float:
+                  tol: float = 1e-9) -> float:
     """Supremum of winning bids in [0, upper] for a monotone predicate.
 
-    Samples `probes` points first and rejects predicates that win after
-    losing; returns `upper` itself when the agent wins everywhere.
+    Samples THRESHOLD_PROBES points first and rejects predicates that win
+    after losing; returns `upper` itself when the agent wins everywhere.
     """
     if upper <= 0:
         raise ValidationError("upper bound for the threshold search must be positive")
-    xs = [upper * i / (probes - 1) for i in range(probes)]
+    xs = [upper * i / (THRESHOLD_PROBES - 1) for i in range(THRESHOLD_PROBES)]
     vals = [bool(win_predicate(x)) for x in xs]
     for earlier, later in zip(vals, vals[1:]):
         if later and not earlier:
@@ -94,6 +110,24 @@ def threshold_bid(win_predicate: Callable[[float], bool], upper: float,
 def _threshold_or_inf(win_predicate, upper, tol=1e-9) -> float:
     value = threshold_bid(win_predicate, upper, tol)
     return math.inf if value == upper else value
+
+
+def _selection_threshold(select: Callable[[dict[int, float]], frozenset[int]],
+                         scaled: dict[int, float], e: int, w_e: float, bid: float,
+                         tol: float) -> float:
+    """Highest bid with which `e` is still selected, the other scaled bids fixed.
+
+    The bisection runs up to max(w_e * (1 + sum of the other scaled bids),
+    bid + 1); an agent still selected there gets an infinite threshold.
+    """
+    upper = w_e * (1.0 + sum(sc for o, sc in scaled.items() if o != e))
+
+    def selected(beta: float) -> bool:
+        trial = dict(scaled)
+        trial[e] = beta / w_e
+        return e in select(trial)
+
+    return _threshold_or_inf(selected, max(upper, bid + 1.0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -152,83 +186,58 @@ def run_pruning_lifting(instance: core.SetSystemInstance, bids: Sequence[float],
     if not core.is_feasible(instance, winners) or not winners <= surviving:
         raise StructureError("selector returned a non-feasible winner set")
 
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
     upper_prune = 1.0 + 2.0 * float(sum(bids))
-    t1 = {}
-    t2 = {}
-    for e in sorted(targets):
-        def survives(beta: float, e=e) -> bool:
+
+    def thresholds(e: int) -> tuple[float, float]:
+        def survives(beta: float) -> bool:
             trial = list(bids)
             trial[e] = beta
             return e in pruner(trial)
 
-        t1[e] = _threshold_or_inf(survives, upper_prune)
+        return (_threshold_or_inf(survives, upper_prune),
+                _selection_threshold(lambda sc: selector(restricted, sc), scaled,
+                                     e, lifted.weights[e], bids[e], 1e-9))
 
-        w_e = lifted.weights[e]
-        upper_select = w_e * (1.0 + sum(scaled[o] for o in surviving if o != e))
-
-        def selected(beta: float, e=e, w_e=w_e) -> bool:
-            trial = dict(scaled)
-            trial[e] = beta / w_e
-            return e in selector(restricted, trial)
-
-        t2[e] = _threshold_or_inf(selected, max(upper_select, bids[e] + 1.0))
-    return _finalize(surviving, lifted, winners, t1, t2, bids)
+    return _pay(surviving, lifted, winners, bids, payment_agents, thresholds)
 
 
 # ---------------------------------------------------------------------------
 # k-path instantiation
 
 
-def _kpath_state(g: flows.DiGraph, bids: Sequence[float], k: int):
-    gstar = flows.cheapest_kplus1_subgraph(g, bids, k)
-    h = dependency.build_dependency_kpath(g, gstar, k)
-    lifted = spectral.lift(h)
+def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
+                   gstar: flows.IntegralFlow, lifted: spectral.SpectralLift,
+                   payment_agents: Optional[Iterable[int]]) -> MechanismOutcome:
+    """Buy the cheapest scaled k-flow inside the pruned (k+1)-flow `gstar`.
+
+    Both thresholds are closed forms: t1 from the cheapest (k+1)-flow
+    avoiding e, t2 from the cheapest scaled k-flow in G* avoiding e.
+    """
     scaled = [0.0] * g.n_edges
     for e in gstar.edge_ids:
         scaled[e] = bids[e] / lifted.weights[e]
     winner_flow = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids)
-    return gstar, lifted, scaled, winner_flow
+    all_edges = frozenset(range(g.n_edges))
+
+    def thresholds(e: int) -> tuple[float, float]:
+        try:
+            without = flows.min_cost_flow(g, bids, k + 1, allowed=all_edges - {e})
+            t1 = without.cost - gstar.cost + bids[e]
+        except InfeasibleFlowError:
+            t1 = math.inf
+        alt = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids - {e})
+        return t1, lifted.weights[e] * (alt.cost - winner_flow.cost + scaled[e])
+
+    return _pay(gstar.edge_ids, lifted, winner_flow.edge_ids, bids, payment_agents, thresholds)
 
 
 def kpath_mechanism(g: flows.DiGraph, bids: Sequence[float], k: int,
                     payment_agents: Optional[Iterable[int]] = None) -> MechanismOutcome:
     """Prune to the cheapest (k+1)-flow, lift, and buy the cheapest scaled k-flow."""
     _check_bids(bids, g.n_edges)
-    gstar, lifted, scaled, winner_flow = _kpath_state(g, bids, k)
-    winners = winner_flow.edge_ids
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    all_edges = frozenset(range(g.n_edges))
-    t1 = {}
-    t2 = {}
-    for e in sorted(targets):
-        t1[e], t2[e] = _kpath_thresholds(
-            g, bids, k, e, gstar, lifted, scaled, winner_flow, all_edges)
-    return _finalize(gstar.edge_ids, lifted, winners, t1, t2, bids)
-
-
-def _kpath_thresholds(g, bids, k, e, gstar, lifted, scaled, winner_flow, all_edges):
-    try:
-        without = flows.min_cost_flow(g, bids, k + 1, allowed=all_edges - {e})
-        t1 = without.cost - gstar.cost + bids[e]
-    except InfeasibleFlowError:
-        t1 = math.inf
-    alt = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids - {e})
-    w_e = lifted.weights[e]
-    t2 = w_e * (alt.cost - winner_flow.cost + scaled[e])
-    return t1, t2
-
-
-def analytic_thresholds_kpath(g: flows.DiGraph, bids: Sequence[float], k: int,
-                              agent: int) -> tuple[float, float]:
-    """Closed-form (t1, t2) for an agent that currently survives and wins."""
-    _check_bids(bids, g.n_edges)
-    gstar, lifted, scaled, winner_flow = _kpath_state(g, bids, k)
-    if agent not in gstar.edge_ids:
-        raise ValidationError("thresholds are defined for surviving agents only")
-    return _kpath_thresholds(
-        g, bids, k, agent, gstar, lifted, scaled, winner_flow,
-        frozenset(range(g.n_edges)))
+    gstar = flows.cheapest_kplus1_subgraph(g, bids, k)
+    lifted = spectral.lift(dependency.build_dependency_kpath(g, gstar, k))
+    return _kpath_outcome(g, bids, k, gstar, lifted, payment_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +364,15 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
 
     winners = select(scaled)
     cover_cost = sum(scaled[v] for v in winners)
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    t1 = {v: math.inf for v in targets}
-    t2 = {}
-    for v in sorted(targets):
+
+    def thresholds(v: int) -> tuple[float, float]:
         w_v = lifted.weights[v]
         if mode == "exact":
             avoid_cost, _ = _cover_branch_and_bound(graph, scaled, exclude=v)
-            t2[v] = w_v * (avoid_cost - cover_cost + scaled[v])
-        else:
-            upper = w_v * (1.0 + sum(sc for u, sc in scaled.items() if u != v))
+            return math.inf, w_v * (avoid_cost - cover_cost + scaled[v])
+        return math.inf, _selection_threshold(select, scaled, v, w_v, bids[v], 1e-10)
 
-            def wins(beta: float, v=v, w_v=w_v) -> bool:
-                trial = dict(scaled)
-                trial[v] = beta / w_v
-                return v in select(trial)
-
-            t2[v] = _threshold_or_inf(wins, max(upper, bids[v] + 1.0), tol=1e-10)
-    return _finalize(frozenset(range(graph.n_vertices)), lifted, winners, t1, t2, bids)
+    return _pay(range(graph.n_vertices), lifted, winners, bids, payment_agents, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +394,7 @@ def r_out_of_k_mechanism(system: core.ROutOfKSystem, bids: Sequence[float],
     kept = order[: r + 1]
     boundary = order[r + 1] if k > r + 1 else None
 
-    members = frozenset(a for i in kept for a in groups[i])
-    h_edges = set()
-    for ia, i in enumerate(kept):
-        for j in kept[ia + 1:]:
-            for a in groups[i]:
-                for b in groups[j]:
-                    h_edges.add((min(a, b), max(a, b)))
-    h = dependency.DependencyGraph(tuple(sorted(members)), frozenset(h_edges))
+    h = dependency.multipartite_dependency([groups[i] for i in kept])
     lifted = spectral.lift(h)
     x = {i: lifted.weights[groups[i][0]] for i in kept}
     scaled_group = {i: group_bid[i] / x[i] for i in kept}
@@ -409,16 +402,14 @@ def r_out_of_k_mechanism(system: core.ROutOfKSystem, bids: Sequence[float],
     winner_groups = [i for i in kept if i != discard]
     winners = frozenset(a for i in winner_groups for a in groups[i])
 
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    t1 = {}
-    t2 = {}
-    for e in sorted(targets):
+    def thresholds(e: int) -> tuple[float, float]:
         gi = next(i for i in winner_groups if e in groups[i])
         rest = group_bid[gi] - bids[e]
-        t1[e] = math.inf if boundary is None else group_bid[boundary] - rest
         rival = max(scaled_group[j] for j in kept if j != gi)
-        t2[e] = x[gi] * rival - rest
-    return _finalize(members, lifted, winners, t1, t2, bids)
+        t1 = math.inf if boundary is None else group_bid[boundary] - rest
+        return t1, x[gi] * rival - rest
+
+    return _pay(h.nodes, lifted, winners, bids, payment_agents, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +441,7 @@ def sqrt_mechanism(g: flows.DiGraph, bids: Sequence[float],
             weights[e] = 1.0 / math.sqrt(len(side_b))
         alphas.append(math.sqrt(len(side_a) * len(side_b)))
     lifted = spectral.SpectralLift(max(alphas), weights, tuple(alphas), 0.0)
-    scaled = [0.0] * g.n_edges
-    for e in gstar.edge_ids:
-        scaled[e] = bids[e] / weights[e]
-    winner_flow = flows.min_cost_flow(g, scaled, 1, allowed=gstar.edge_ids)
-    winners = winner_flow.edge_ids
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    all_edges = frozenset(range(g.n_edges))
-    t1 = {}
-    t2 = {}
-    for e in sorted(targets):
-        t1[e], t2[e] = _kpath_thresholds(
-            g, bids, 1, e, gstar, lifted, scaled, winner_flow, all_edges)
-    return _finalize(gstar.edge_ids, lifted, winners, t1, t2, bids)
+    return _kpath_outcome(g, bids, 1, gstar, lifted, payment_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +458,11 @@ def vcg(instance: core.SetSystemInstance, bids: Sequence[float],
         raise MonopolyError("instance has no feasible set")
     if frozenset.intersection(*minimal):
         raise MonopolyError("instance is not monopoly-free")
-    best = None
-    for cand in minimal:
-        cost = sum(bids[e] for e in cand)
-        if best is None or cost < best[0] - 1e-12 or _wins_tie(cost, cand, best[0], best[1], n):
-            best = (cost, cand)
-    winners = best[1]
-    targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    t1 = {e: math.inf for e in targets}
-    t2 = {}
-    for e in sorted(targets):
+    winners = argmin_selector(core.ExplicitSystem(n, tuple(minimal)), dict(enumerate(bids)))
+    cost = sum(bids[e] for e in winners)
+
+    def thresholds(e: int) -> tuple[float, float]:
         alt = min(sum(bids[o] for o in cand) for cand in minimal if e not in cand)
-        t2[e] = alt - (best[0] - bids[e])
-    return _finalize(frozenset(range(n)), None, winners, t1, t2, bids)
+        return math.inf, alt - (cost - bids[e])
+
+    return _pay(range(n), None, winners, bids, payment_agents, thresholds)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dependency import DependencyGraph, components
+from .dependency import DependencyGraph, components, multipartite_dependency
 from .errors import ConvergenceError, ValidationError
 
 INTERNAL_TOL = 1e-12
@@ -101,24 +101,6 @@ def lift(h: DependencyGraph) -> SpectralLift:
     return SpectralLift(max(alphas), weights, tuple(alphas), residual)
 
 
-def multipartite_dependency(part_sizes: Sequence[int]) -> DependencyGraph:
-    """Complete multipartite graph over consecutive id blocks."""
-    offsets = []
-    nxt = 0
-    for size in part_sizes:
-        if size < 1:
-            raise ValidationError("part sizes must be positive")
-        offsets.append(tuple(range(nxt, nxt + size)))
-        nxt += size
-    edges = set()
-    for i, part_a in enumerate(offsets):
-        for part_b in offsets[i + 1:]:
-            for u in part_a:
-                for v in part_b:
-                    edges.add((min(u, v), max(u, v)))
-    return DependencyGraph(tuple(range(nxt)), frozenset(edges))
-
-
 def solve_lozenge(part_sizes: Sequence[int], r: int):
     """Balance equations of the r-out-of-k lifting, via the expanded eigenproblem.
 
@@ -130,13 +112,13 @@ def solve_lozenge(part_sizes: Sequence[int], r: int):
         raise ValidationError("r must be at least 1")
     if len(part_sizes) != r + 1:
         raise ValidationError("need exactly r+1 part sizes")
-    h = multipartite_dependency(part_sizes)
-    lifted = lift(h)
-    beta = lifted.alpha / r
-    x = []
+    parts = []
     nxt = 0
     for size in part_sizes:
-        block = [lifted.weights[v] for v in range(nxt, nxt + size)]
-        x.append(float(np.mean(block)))
+        if size < 1:
+            raise ValidationError("part sizes must be positive")
+        parts.append(tuple(range(nxt, nxt + size)))
         nxt += size
-    return beta, tuple(x)
+    lifted = lift(multipartite_dependency(parts))
+    x = tuple(float(np.mean([lifted.weights[v] for v in part])) for part in parts)
+    return lifted.alpha / r, x

@@ -98,6 +98,29 @@ def test_min_cost_flow_tie_break_is_exact_past_53_edges():
     assert argmin_selector(restricted, dict(enumerate(costs))) == f.edge_ids
 
 
+def test_min_cost_flow_rounded_cycle_fails_loudly():
+    # Scaled costs of a lifted k-path instance whose only 2-flow is all 26
+    # edges.  Their rounding once made the residual parent pointers close a
+    # cycle, and walking them back to s appended edges until memory ran out.
+    edges = (((0, 1), (0, 2)) + tuple((v, v + 2) for v in range(1, 17))
+             + ((17, 19), (18, 19), (19, 21), (19, 20), (20, 22), (21, 23), (22, 24),
+                (23, 24)))
+    g = DiGraph(25, edges, 0, 24)
+    costs = [1.0000000000000002, 1.3440178677269319, 3.0, 2.6880357354538624,
+             1.0000000000000002, 4.032053603180794, 2.0, 1.3440178677269312,
+             1.0000000000000002, 2.4880357354538623, 1.0, 4.9760714709077245,
+             2.0000000000000004, 1.2440178677269311, 2.0000000000000004,
+             1.2440178677269311, 3.0000000000000004, 1.2440178677269311,
+             1.0000000000000002, 1.371077440961579, 5.3087844081637945,
+             5.3087844081637945, 10.617568816327589, 10.617568816327589,
+             21.235137632655178, 21.235137632655178]
+    try:
+        f = min_cost_flow(g, costs, 2)
+    except StructureError:
+        return
+    assert f.edge_ids == frozenset(range(len(edges)))
+
+
 def test_min_cost_flow_infeasible():
     with pytest.raises(InfeasibleFlowError):
         min_cost_flow(diamond(), DIAMOND_COSTS, 3)

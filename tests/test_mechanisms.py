@@ -15,7 +15,6 @@ from frugal.dependency import build_dependency_kpath, components
 from frugal.errors import MonopolyError, MonotonicityError, ValidationError
 from frugal.flows import DiGraph, cheapest_kplus1_subgraph, min_cost_flow
 from frugal.mechanisms import (
-    analytic_thresholds_kpath,
     argmin_selector,
     kpath_mechanism,
     kpath_pruner,
@@ -94,13 +93,18 @@ def test_kpath_monopoly_is_infeasible():
         kpath_mechanism(diamond(), DIAMOND_COSTS, 2)
 
 
+def _kpath_thresholds(g, bids, k, e):
+    out = kpath_mechanism(g, bids, k, payment_agents=[e])
+    return out.t1[e], out.t2[e]
+
+
 def test_analytic_thresholds_examples():
-    t1, t2 = analytic_thresholds_kpath(diamond(), DIAMOND_COSTS, 1, 0)
+    t1, t2 = _kpath_thresholds(diamond(), DIAMOND_COSTS, 1, 0)
     assert t1 == math.inf
     assert t2 == pytest.approx(3.0)
 
     g3 = DiGraph(2, ((0, 1), (0, 1), (0, 1)), 0, 1)
-    t1_e1, _ = analytic_thresholds_kpath(g3, [1.0, 2.0, 9.0], 1, 0)
+    t1_e1, _ = _kpath_thresholds(g3, [1.0, 2.0, 9.0], 1, 0)
     assert t1_e1 == pytest.approx(9.0)  # (2+9) - (1+2) + 1
 
 
@@ -267,6 +271,51 @@ def test_vcg_monopoly():
 
 
 # ---------------------------------------------------------------------------
+# payment_agents
+
+
+SERIES_BIDS = [3.0, 1.0, 2.0, 2.0, 1.0, 5.0, 2.0, 0.0]
+
+PAYMENT_AGENT_RUNS = {
+    "kpath": lambda agents: kpath_mechanism(
+        two_diamonds_in_series(), SERIES_BIDS, 1, payment_agents=agents),
+    "sqrt": lambda agents: sqrt_mechanism(
+        two_diamonds_in_series(), SERIES_BIDS, payment_agents=agents),
+    "generic": lambda agents: run_pruning_lifting(
+        KPathSystem(diamond(), 1), DIAMOND_COSTS, kpath_pruner(diamond(), 1),
+        argmin_selector, payment_agents=agents),
+    "cover-exact": lambda agents: vertex_cover_mechanism(
+        UndirectedGraph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))),
+        [2.0, 1.0, 3.0, 1.0, 2.0], mode="exact", payment_agents=agents),
+    "cover-approx2": lambda agents: vertex_cover_mechanism(
+        star_graph(4), [1.0, 0.0, 0.0, 0.0, 0.0], mode="approx2", payment_agents=agents),
+    "r-out-of-k": lambda agents: r_out_of_k_mechanism(
+        ROutOfKSystem(((0,), (1, 2), (3,), (4, 5)), 2),
+        [1.0, 0.5, 1.0, 2.0, 3.0, 1.0], payment_agents=agents),
+    "vcg": lambda agents: vcg(
+        KPathSystem(two_diamonds_in_series(), 1), SERIES_BIDS, payment_agents=agents),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAYMENT_AGENT_RUNS))
+def test_payment_agents_pays_only_the_named_winners(kind):
+    run = PAYMENT_AGENT_RUNS[kind]
+    full = run(None)
+    assert full.winners and set(full.payments) == set(full.winners)
+    for e in full.winners:
+        single = run([e])
+        assert single.winners == full.winners
+        assert set(single.payments) == {e}
+        assert single.t1[e] == full.t1[e]
+        assert single.t2[e] == full.t2[e]
+        assert single.payments[e] == full.payments[e]
+        assert single.total_payment == full.payments[e]
+    none = run([])
+    assert none.winners == full.winners
+    assert none.payments == {} and none.total_payment == 0.0
+
+
+# ---------------------------------------------------------------------------
 # threshold_bid
 
 
@@ -363,7 +412,7 @@ def test_analytic_equals_bisection_thresholds():
         bids = [rng.random() * 4 for _ in range(g.n_edges)]
         out = kpath_mechanism(g, bids, k)
         e = min(out.winners)
-        t1a, t2a = analytic_thresholds_kpath(g, bids, k, e)
+        t1a, t2a = _kpath_thresholds(g, bids, k, e)
 
         def survives(beta):
             trial = list(bids)

@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from frugal.dependency import DependencyGraph, components
+from frugal.dependency import DependencyGraph, components, multipartite_dependency
 from frugal.spectral import (
     eigen_residual,
     lift,
-    multipartite_dependency,
     principal_eigen,
     solve_lozenge,
 )
@@ -100,7 +99,8 @@ def test_lozenge_balance_equations():
             rhs = sum(x[j] * sizes[j] for j in range(r + 1) if j != i) / (r * x[i])
             assert rhs == pytest.approx(beta, abs=1e-8)
         # Agreement with the expanded eigenproblem.
-        lifted = lift(multipartite_dependency(sizes))
+        blocks = [tuple(range(sum(sizes[:i]), sum(sizes[:i + 1]))) for i in range(r + 1)]
+        lifted = lift(multipartite_dependency(blocks))
         assert abs(beta * r - lifted.alpha) <= 1e-8
         assert max(x) == pytest.approx(1.0, abs=1e-9)
 
