@@ -400,8 +400,14 @@ def enumerate_flow_unions(g: DiGraph, size: int, cap: int = DEFAULT_ENUM_CAP) ->
     return sorted(unions, key=sorted)
 
 
-def _sccs(vertices: list[int], out: dict[int, list[int]]) -> list[list[int]]:
-    # Iterative Tarjan.
+def strongly_connected_components(vertices: Sequence[int],
+                                  out: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph given by successor lists.
+
+    Iterative Tarjan: one linear pass, no recursion, and components come
+    out in reverse topological order of the condensation.  `out` may omit
+    vertices that have no successors.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -457,7 +463,7 @@ def _longest_path_with_cycles(g: DiGraph, edge_ids: frozenset[int],
     for eid in edge_ids:
         tail, head = g.edges[eid]
         out[tail].append(head)
-    comps = _sccs(verts, out)
+    comps = strongly_connected_components(verts, out)
     comp_of = {}
     for ci, comp in enumerate(comps):
         for v in comp:

@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from frugal import flows
 from frugal.core import UndirectedGraph
+from frugal.dependency import DependencyGraph
 from frugal.flows import DiGraph
 
 
@@ -141,3 +143,18 @@ def brute_minimal_sets(universe: int, feasible_fn) -> list[frozenset[int]]:
             for s in itertools.combinations(range(universe), r)
             if feasible_fn(frozenset(s))]
     return sorted((s for s in feas if not any(o < s for o in feas)), key=sorted)
+
+
+def brute_dependency_kpath(g: DiGraph, gstar, k: int) -> DependencyGraph:
+    """Pairwise dependency oracle for a k-path system pruned to `gstar`.
+
+    Joins {a, b} when G* minus both carries less than k, testing every
+    pair with its own max-flow: O(|G*|^2) calls, no minimum-cut structure.
+    """
+    nodes = tuple(sorted(gstar.edge_ids))
+    edges = set()
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if flows.max_flow_value(g, gstar.edge_ids - {a, b}) < k:
+                edges.add((a, b))
+    return DependencyGraph(nodes, frozenset(edges))

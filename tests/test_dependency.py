@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from frugal import flows
 from frugal.core import (
     KPathSystem,
     ROutOfKSystem,
@@ -18,17 +19,20 @@ from frugal.dependency import (
     build_dependency_kpath,
     components,
 )
-from frugal.errors import MonopolyError
+from frugal.errors import MonopolyError, StructureError, ValidationError
 from frugal.flows import (
     DiGraph,
+    IntegralFlow,
     articulation_decomposition,
     cheapest_kplus1_subgraph,
+    max_flow_value,
     min_cost_flow,
 )
 
 from fixtures import (
     DIAMOND_COSTS,
     brute_all_simple_paths,
+    brute_dependency_kpath,
     brute_max_flow,
     diamond,
     para,
@@ -108,6 +112,74 @@ def test_generic_matches_kpath_fast_path():
         assert fast.nodes == generic.nodes
         assert fast.edges == generic.edges
         checked += 1
+
+
+def layered_grid(rng, layers, width, p_diag=0.3):
+    # Source, `layers` rows of `width` vertices, sink; straight edges between
+    # rows plus random diagonals, so `width` disjoint s-t paths always exist.
+    s, t = 0, 1 + layers * width
+    edges = [(s, 1 + col) for col in range(width)]
+    for row in range(layers - 1):
+        for col in range(width):
+            for nxt in (col - 1, col, col + 1):
+                if 0 <= nxt < width and (nxt == col or rng.random() < p_diag):
+                    edges.append((1 + row * width + col, 1 + (row + 1) * width + nxt))
+    edges.extend((1 + (layers - 1) * width + col, t) for col in range(width))
+    return DiGraph(t + 1, tuple(edges), s, t)
+
+
+def test_kpath_builder_matches_pairwise_oracle(monkeypatch):
+    # The residual-SCC builder agrees edge for edge with one max-flow per
+    # pair, and makes no max-flow call of its own.
+    calls = []
+    real = flows.max_flow_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "max_flow_value", counting)
+
+    def check(g, costs, k):
+        gstar = cheapest_kplus1_subgraph(g, costs, k)
+        expected = brute_dependency_kpath(g, gstar, k)
+        calls.clear()
+        assert build_dependency_kpath(g, gstar, k) == expected
+        assert calls == []
+
+    rng = random.Random(47)
+    checked = 0
+    while checked < 300:
+        # Random digraphs: cycles, parallel edges and tied integer costs.
+        g = random_digraph(rng, rng.randint(3, 8), rng.randint(3, 16))
+        mf = max_flow_value(g)
+        if mf < 2:
+            continue
+        k = rng.randint(1, mf - 1)
+        check(g, [float(rng.randint(0, 3)) for _ in range(g.n_edges)], k)
+        checked += 1
+    for layers, width, k in ((16, 3, 1), (12, 4, 2), (9, 5, 3), (12, 5, 3)):
+        g = layered_grid(rng, layers, width)
+        assert g.n_edges > 53
+        check(g, [rng.uniform(1.0, 10.0) for _ in range(g.n_edges)], k)
+        check(g, [float(rng.randint(1, 4)) for _ in range(g.n_edges)], k)
+
+
+def test_kpath_builder_rejects_wrong_path_count():
+    g = diamond()
+    gstar = min_cost_flow(g, DIAMOND_COSTS, 2)
+    with pytest.raises(ValidationError):
+        build_dependency_kpath(g, gstar, 2)
+
+
+def test_kpath_builder_rejects_non_path_support():
+    # Three diamond edges cannot split into two s-t paths.
+    with pytest.raises(StructureError):
+        build_dependency_kpath(diamond(), IntegralFlow(frozenset({0, 1, 2}), 2, 0.0), 1)
+    # s->a->b->t and s->b->a->t split into two paths, but a<->b is a cycle.
+    g = DiGraph(4, ((0, 1), (1, 2), (2, 3), (0, 2), (2, 1), (1, 3)), 0, 3)
+    with pytest.raises(StructureError):
+        build_dependency_kpath(g, IntegralFlow(frozenset(range(6)), 2, 0.0), 1)
 
 
 def test_components_examples():
