@@ -9,7 +9,10 @@ sums never round at any graph size.  It is additive and positive, which
 makes every optimum unique, keeps optimal supports cycle-free, and makes
 the pruning stage of the auction mechanisms deterministic and
 independent of the bid of any surviving agent.  The mechanisms break
-their selection ties by the same key.
+their selection ties by the same key.  Once a cheapest flow is known, the
+cheapest flow of the same size that avoids one of its edges e = (u, v) is
+one shortest u -> v path away in its residual graph (`residual_detour`),
+so the k-path thresholds need no second min-cost flow.
 """
 
 from __future__ import annotations
@@ -247,9 +250,63 @@ def min_cost_flow(g: DiGraph, costs: Sequence[float], k: int,
     return IntegralFlow(support, k, total)
 
 
+def residual_detour(g: DiGraph, costs: Sequence[float], flow_edges: frozenset[int],
+                    allowed: Optional[Iterable[int]], e: int) -> float:
+    """Shortest tail(e) -> head(e) distance in a flow's residual graph without e.
+
+    `flow_edges` is the support of a cheapest flow under `costs` within
+    the `allowed` edges (all by default) and carries e.  The cheapest flow
+    of the same size within `allowed` - {e} then costs
+    cost(flow) - costs[e] + the returned distance, which is math.inf when
+    no such flow exists.  Bellman-Ford relaxes an arc only when it gains
+    more than COST_TOL, so rounded near-zero cycles settle; the error is
+    one-sided and at most n * COST_TOL above the exact distance.  A change
+    in round n needs a residual cycle cheaper than -COST_TOL, which a
+    cheapest flow does not have, so it raises StructureError.
+    """
+    _check_costs(g, costs)
+    if e not in flow_edges:
+        raise ValidationError(f"edge {e} carries no flow")
+    n = g.n_vertices
+    edges = g.edges
+    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for eid in range(g.n_edges) if allowed is None else allowed:
+        if eid == e:
+            continue
+        tail, head = edges[eid]
+        if eid in flow_edges:
+            out[head].append((tail, -costs[eid]))
+        else:
+            out[tail].append((head, costs[eid]))
+    src, dst = edges[e]
+    dist = [math.inf] * n
+    dist[src] = 0.0
+    # Round r relaxes the arcs out of the vertices that changed in round r-1.
+    frontier = [src]
+    last_round = [-1] * n
+    for r in range(n):
+        if not frontier:
+            break
+        changed: list[int] = []
+        for u in frontier:
+            du = dist[u]
+            for v, c in out[u]:
+                if du + c < dist[v] - COST_TOL:
+                    dist[v] = du + c
+                    if last_round[v] != r:
+                        last_round[v] = r
+                        changed.append(v)
+        frontier = changed
+    if frontier:
+        raise StructureError("residual detour failed to settle")
+    return dist[dst]
+
+
 def _check_costs(g: DiGraph, costs: Sequence[float]):
     if len(costs) != g.n_edges:
         raise ValidationError("cost vector length must equal the edge count")
+    if all(map(math.isfinite, costs)) and min(costs, default=0.0) >= 0:
+        return
     for eid, c in enumerate(costs):
         if c < 0 or not math.isfinite(c):
             raise ValidationError(f"edge {eid} has an invalid cost {c}")
@@ -568,42 +625,3 @@ def articulation_decomposition(g: DiGraph, flow: IntegralFlow) -> ArticulationDe
     if sorted(itertools.chain.from_iterable(parts)) != sorted(edge_ids):
         raise StructureError("parts do not partition the flow edges")
     return ArticulationDecomposition(tuple(points), tuple(parts))
-
-
-def shortest_path_distances(g: DiGraph, weights: Sequence[float]) -> list[float]:
-    """Dijkstra distances from s under non-negative edge weights."""
-    _check_costs(g, weights)
-    adj = g.out_edges()
-    dist = [math.inf] * g.n_vertices
-    dist[g.s] = 0.0
-    heap = [(0.0, g.s)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v] + COST_TOL:
-            continue
-        for eid in adj[v]:
-            head = g.edges[eid][1]
-            nd = d + weights[eid]
-            if nd < dist[head] - 1e-15:
-                dist[head] = nd
-                heapq.heappush(heap, (nd, head))
-    return dist
-
-
-def verify_shortest_path_flow(g: DiGraph, weights: Sequence[float], k: int,
-                              tol: float = 1e-7) -> Optional[IntegralFlow]:
-    """Search the shortest-path subgraph for k+1 edge-disjoint s-t paths.
-
-    Returns the flow when it exists, else None.  Every s-t path made of
-    tight edges telescopes to distance(t), so a returned flow decomposes
-    into equal-length shortest paths.
-    """
-    dist = shortest_path_distances(g, weights)
-    tight = [
-        eid for eid, (tail, head) in enumerate(g.edges)
-        if math.isfinite(dist[tail])
-        and abs(dist[tail] + weights[eid] - dist[head]) <= tol
-    ]
-    if max_flow_value(g, tight) < k + 1:
-        return None
-    return min_cost_flow(g, weights, k + 1, allowed=tight)

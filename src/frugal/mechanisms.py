@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import core, dependency, flows, spectral
 from .errors import (
-    InfeasibleFlowError,
     MonopolyError,
     MonotonicityError,
     SizeCapError,
@@ -210,23 +209,29 @@ def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
                    payment_agents: Optional[Iterable[int]]) -> MechanismOutcome:
     """Buy the cheapest scaled k-flow inside the pruned (k+1)-flow `gstar`.
 
-    Both thresholds are closed forms: t1 from the cheapest (k+1)-flow
-    avoiding e, t2 from the cheapest scaled k-flow in G* avoiding e.
+    Both thresholds are one residual shortest path each
+    (`flows.residual_detour`).  For a winner e = (u, v) carried by a
+    cheapest flow f, the cheapest flow of the same size avoiding e costs
+    c(f) - c_e + d(u -> v), with d the shortest distance in f's residual
+    graph without e's two arcs:
+      1. any such flow differs from f - e by one u -> v path plus cycles,
+         all made of residual arcs of f;
+      2. f is cheapest, so those cycles cost at least 0;
+      3. f - e plus a shortest u -> v path is such a flow.
+    So t1 = d(u -> v) under the bids in residual(G*) over all edges, math.inf
+    when v is unreachable (no (k+1)-flow avoids e), and
+    t2 = w_e * d(u -> v) under the scaled bids in residual(winner flow)
+    within G*.
     """
     scaled = [0.0] * g.n_edges
     for e in gstar.edge_ids:
         scaled[e] = bids[e] / lifted.weights[e]
     winner_flow = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids)
-    all_edges = frozenset(range(g.n_edges))
 
     def thresholds(e: int) -> tuple[float, float]:
-        try:
-            without = flows.min_cost_flow(g, bids, k + 1, allowed=all_edges - {e})
-            t1 = without.cost - gstar.cost + bids[e]
-        except InfeasibleFlowError:
-            t1 = math.inf
-        alt = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids - {e})
-        return t1, lifted.weights[e] * (alt.cost - winner_flow.cost + scaled[e])
+        t1 = flows.residual_detour(g, bids, gstar.edge_ids, None, e)
+        detour = flows.residual_detour(g, scaled, winner_flow.edge_ids, gstar.edge_ids, e)
+        return t1, lifted.weights[e] * detour
 
     return _pay(gstar.edge_ids, lifted, winner_flow.edge_ids, bids, payment_agents, thresholds)
 

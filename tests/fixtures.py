@@ -1,17 +1,19 @@
-"""Shared fixture graphs and brute-force oracles used across the test suite.
+"""Shared fixture graphs, brute-force oracles and test-only helpers.
 
-The oracles enumerate exhaustively and never call the code paths they
-check.
+The oracles enumerate exhaustively or re-solve from scratch, and never
+call the code paths they check.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 from frugal import flows
 from frugal.core import UndirectedGraph
 from frugal.dependency import DependencyGraph
+from frugal.errors import InfeasibleFlowError, StructureError
 from frugal.flows import DiGraph
 
 
@@ -50,6 +52,32 @@ def two_diamonds_in_series() -> DiGraph:
         (3, 4), (3, 5), (4, 6), (5, 6),   # second diamond
     )
     return DiGraph(7, edges, 0, 6)
+
+
+def random_digraph(rng, n_vertices, n_edges) -> DiGraph:
+    """Random edges between distinct vertices; parallel edges and cycles allowed."""
+    edges = []
+    for _ in range(n_edges):
+        u = rng.randrange(n_vertices)
+        v = rng.randrange(n_vertices)
+        while v == u:
+            v = rng.randrange(n_vertices)
+        edges.append((u, v))
+    return DiGraph(n_vertices, tuple(edges), 0, n_vertices - 1)
+
+
+def layered_grid(rng, layers, width, p_diag=0.3) -> DiGraph:
+    # Source, `layers` rows of `width` vertices, sink; straight edges between
+    # rows plus random diagonals, so `width` disjoint s-t paths always exist.
+    s, t = 0, 1 + layers * width
+    edges = [(s, 1 + col) for col in range(width)]
+    for row in range(layers - 1):
+        for col in range(width):
+            for nxt in (col - 1, col, col + 1):
+                if 0 <= nxt < width and (nxt == col or rng.random() < p_diag):
+                    edges.append((1 + row * width + col, 1 + (row + 1) * width + nxt))
+    edges.extend((1 + (layers - 1) * width + col, t) for col in range(width))
+    return DiGraph(t + 1, tuple(edges), s, t)
 
 
 def star_graph(m: int) -> UndirectedGraph:
@@ -158,3 +186,68 @@ def brute_dependency_kpath(g: DiGraph, gstar, k: int) -> DependencyGraph:
             if flows.max_flow_value(g, gstar.edge_ids - {a, b}) < k:
                 edges.add((a, b))
     return DependencyGraph(nodes, frozenset(edges))
+
+
+def _resolve_cost(g: DiGraph, costs, size: int, allowed) -> float:
+    try:
+        return flows.min_cost_flow(g, costs, size, allowed=allowed).cost
+    except InfeasibleFlowError:
+        return math.inf
+    except StructureError:
+        # min_cost_flow can stop on a rounded near-zero residual cycle of
+        # float costs; exhaustive enumeration stands in for it then.
+        return brute_min_cost_flow_cost(g, costs, size, allowed)
+
+
+def resolve_kpath_thresholds(g: DiGraph, bids, k: int, gstar, lifted, winner_flow,
+                             e: int) -> tuple[float, float]:
+    """t1 and t2 of k-path winner e, each from a min-cost flow re-solved without e.
+
+    t1 prices the cheapest (k+1)-flow of G - e against G*; t2 prices the
+    cheapest scaled k-flow of G* - e against the winning flow.
+    """
+    scaled = [0.0] * g.n_edges
+    for a in gstar.edge_ids:
+        scaled[a] = bids[a] / lifted.weights[a]
+    without = _resolve_cost(g, bids, k + 1, frozenset(range(g.n_edges)) - {e})
+    alt = _resolve_cost(g, scaled, k, gstar.edge_ids - {e})
+    return (without - gstar.cost + bids[e],
+            lifted.weights[e] * (alt - winner_flow.cost + scaled[e]))
+
+
+def shortest_path_distances(g: DiGraph, weights) -> list[float]:
+    """Dijkstra distances from s under non-negative edge weights."""
+    assert len(weights) == g.n_edges and min(weights) >= 0
+    adj = g.out_edges()
+    dist = [math.inf] * g.n_vertices
+    dist[g.s] = 0.0
+    heap = [(0.0, g.s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v] + flows.COST_TOL:
+            continue
+        for eid in adj[v]:
+            head = g.edges[eid][1]
+            nd = d + weights[eid]
+            if nd < dist[head] - 1e-15:
+                dist[head] = nd
+                heapq.heappush(heap, (nd, head))
+    return dist
+
+
+def verify_shortest_path_flow(g: DiGraph, weights, k: int, tol: float = 1e-7):
+    """Search the shortest-path subgraph for k+1 edge-disjoint s-t paths.
+
+    Returns the flow when it exists, else None.  Every s-t path made of
+    tight edges telescopes to distance(t), so a returned flow decomposes
+    into equal-length shortest paths.
+    """
+    dist = shortest_path_distances(g, weights)
+    tight = [
+        eid for eid, (tail, head) in enumerate(g.edges)
+        if math.isfinite(dist[tail])
+        and abs(dist[tail] + weights[eid] - dist[head]) <= tol
+    ]
+    if flows.max_flow_value(g, tight) < k + 1:
+        return None
+    return flows.min_cost_flow(g, weights, k + 1, allowed=tight)

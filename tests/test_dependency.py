@@ -35,22 +35,13 @@ from fixtures import (
     brute_dependency_kpath,
     brute_max_flow,
     diamond,
+    layered_grid,
     para,
     para_costs,
+    random_digraph,
     star_graph,
     two_diamonds_in_series,
 )
-
-
-def random_digraph(rng, n_vertices, n_edges):
-    edges = []
-    for _ in range(n_edges):
-        u = rng.randrange(n_vertices)
-        v = rng.randrange(n_vertices)
-        while v == u:
-            v = rng.randrange(n_vertices)
-        edges.append((u, v))
-    return DiGraph(n_vertices, tuple(edges), 0, n_vertices - 1)
 
 
 def test_diamond_dependency_is_four_cycle():
@@ -112,20 +103,6 @@ def test_generic_matches_kpath_fast_path():
         assert fast.nodes == generic.nodes
         assert fast.edges == generic.edges
         checked += 1
-
-
-def layered_grid(rng, layers, width, p_diag=0.3):
-    # Source, `layers` rows of `width` vertices, sink; straight edges between
-    # rows plus random diagonals, so `width` disjoint s-t paths always exist.
-    s, t = 0, 1 + layers * width
-    edges = [(s, 1 + col) for col in range(width)]
-    for row in range(layers - 1):
-        for col in range(width):
-            for nxt in (col - 1, col, col + 1):
-                if 0 <= nxt < width and (nxt == col or rng.random() < p_diag):
-                    edges.append((1 + row * width + col, 1 + (row + 1) * width + nxt))
-    edges.extend((1 + (layers - 1) * width + col, t) for col in range(width))
-    return DiGraph(t + 1, tuple(edges), s, t)
 
 
 def test_kpath_builder_matches_pairwise_oracle(monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from frugal.core import ExplicitSystem, KPathSystem, minimal_feasible_sets
-from frugal.errors import GraphCycleError, InfeasibleFlowError, StructureError
+from frugal.errors import GraphCycleError, InfeasibleFlowError, StructureError, ValidationError
 from frugal.flows import (
     DiGraph,
     articulation_decomposition,
@@ -18,8 +18,8 @@ from frugal.flows import (
     longest_path_dag,
     max_flow_value,
     min_cost_flow,
+    residual_detour,
     tie_key,
-    verify_shortest_path_flow,
 )
 from frugal.mechanisms import argmin_selector
 
@@ -34,19 +34,10 @@ from fixtures import (
     para,
     para_costs,
     parallel_edges,
+    random_digraph,
     two_diamonds_in_series,
+    verify_shortest_path_flow,
 )
-
-
-def random_digraph(rng, n_vertices, n_edges):
-    edges = []
-    for _ in range(n_edges):
-        u = rng.randrange(n_vertices)
-        v = rng.randrange(n_vertices)
-        while v == u:
-            v = rng.randrange(n_vertices)
-        edges.append((u, v))
-    return DiGraph(n_vertices, tuple(edges), 0, n_vertices - 1)
 
 
 def test_max_flow_diamond():
@@ -119,6 +110,83 @@ def test_min_cost_flow_rounded_cycle_fails_loudly():
     except StructureError:
         return
     assert f.edge_ids == frozenset(range(len(edges)))
+
+
+def test_residual_detour_matches_brute_resolve():
+    # The cheapest flow of the same size without e costs
+    # c(f) - c_e + residual_detour(...), or nothing exists and it is inf.
+    rng = random.Random(97)
+    checked = 0
+    while checked < 80:
+        g = random_digraph(rng, rng.randint(3, 6), rng.randint(3, 12))
+        allowed = None
+        if checked % 2:
+            allowed = frozenset(a for a in range(g.n_edges) if rng.random() < 0.8)
+        mf = max_flow_value(g, allowed)
+        if mf == 0:
+            continue
+        k = rng.randint(1, mf)
+        if checked % 4 < 2:
+            costs = [float(rng.randint(0, 3)) for _ in range(g.n_edges)]
+        else:
+            costs = [rng.uniform(0.0, 5.0) for _ in range(g.n_edges)]
+        f = min_cost_flow(g, costs, k, allowed=allowed)
+        usable = frozenset(range(g.n_edges)) if allowed is None else allowed
+        for e in sorted(f.edge_ids):
+            best = brute_min_cost_flow_cost(g, costs, k, usable - {e})
+            got = residual_detour(g, costs, f.edge_ids, allowed, e)
+            if math.isinf(best):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(best - f.cost + costs[e], rel=1e-9)
+        checked += 1
+
+
+def test_residual_detour_unreachable_and_invalid():
+    g = diamond()
+    f = min_cost_flow(g, DIAMOND_COSTS, 2)
+    for e in range(4):
+        assert residual_detour(g, DIAMOND_COSTS, f.edge_ids, None, e) == math.inf
+    one = min_cost_flow(g, DIAMOND_COSTS, 1)
+    # s->b->t, then back over a->t: the 1-flow {1, 3} costs 6 = 4 - 1 + 3.
+    assert residual_detour(g, DIAMOND_COSTS, one.edge_ids, None, 0) == pytest.approx(3.0)
+    with pytest.raises(ValidationError):
+        residual_detour(g, DIAMOND_COSTS, one.edge_ids, None, 1)
+    with pytest.raises(ValidationError):
+        residual_detour(g, DIAMOND_COSTS[:3], one.edge_ids, None, 0)
+
+
+def test_residual_detour_settles_on_rounded_cycle():
+    # Scaled costs of a lifted k-path instance (its pruned 3-flow) and its
+    # cheapest scaled 2-flow.  Path 4->6->9->12->15->18 off the flow and
+    # path 4->7->10->13->16->18 on it cost the same in exact arithmetic, so
+    # the residual graph has a cycle of real cost 0; its rounded float sum
+    # is negative, and Bellman-Ford without a margin keeps relaxing it
+    # until its round limit.
+    edges = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 6), (4, 7), (5, 8), (6, 9),
+             (7, 10), (8, 11), (9, 12), (10, 13), (11, 14), (12, 15), (13, 16), (14, 17),
+             (15, 18), (16, 18), (17, 19), (18, 21), (18, 20), (19, 22), (20, 23), (21, 24),
+             (22, 25), (23, 26), (24, 27), (25, 28), (26, 29), (27, 30), (28, 31), (29, 32),
+             (30, 33), (31, 34), (32, 35), (33, 35), (34, 35))
+    g = DiGraph(36, edges, 0, 35)
+    costs = [5.8806479527041535, 1.4701619881760384, 3.0000000000000004, 1.4701619881760384,
+             2.9403239763520768, 1.0000000000000002, 3.71817827221933, 3.71817827221933,
+             1.0000000000000002, 1.2393927574064434, 4.957571029625774, 1.0000000000000002,
+             3.71817827221933, 2.478785514812887, 4.000000000000001, 3.71817827221933,
+             1.2393927574064434, 3.0000000000000004, 2.478785514812887, 2.478785514812887,
+             4.0, 4.649878721933067, 1.1624696804832668, 1.0000000000000002,
+             2.3249393609665336, 2.3249393609665336, 3.0000000000000004, 1.1624696804832668,
+             1.1624696804832668, 1.0, 1.1624696804832668, 2.3249393609665336, 2.0,
+             4.649878721933067, 4.649878721933067, 2.0, 1.1624696804832675, 2.324939360966535,
+             2.0]
+    flow = frozenset({1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20, 22, 23, 24, 26, 27,
+                      29, 30, 32, 33, 35, 36, 38})
+    cost = sum(costs[a] for a in flow)
+    assert brute_min_cost_flow_cost(g, costs, 2) == pytest.approx(cost, rel=1e-12)
+    for e in (27, 30, 38):
+        best = brute_min_cost_flow_cost(g, costs, 2, frozenset(range(g.n_edges)) - {e})
+        got = residual_detour(g, costs, flow, None, e)
+        assert got == pytest.approx(best - cost + costs[e], rel=1e-9)
 
 
 def test_min_cost_flow_infeasible():

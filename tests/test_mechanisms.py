@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from frugal import flows
 from frugal.core import (
     KPathSystem,
     ROutOfKSystem,
@@ -13,7 +14,7 @@ from frugal.core import (
 )
 from frugal.dependency import build_dependency_kpath, components
 from frugal.errors import MonopolyError, MonotonicityError, ValidationError
-from frugal.flows import DiGraph, cheapest_kplus1_subgraph, min_cost_flow
+from frugal.flows import DiGraph, cheapest_kplus1_subgraph, max_flow_value, min_cost_flow
 from frugal.mechanisms import (
     argmin_selector,
     kpath_mechanism,
@@ -33,23 +34,15 @@ from fixtures import (
     DIAMOND_COSTS,
     brute_max_flow,
     diamond,
+    layered_grid,
     para,
     para_costs,
+    random_digraph,
+    resolve_kpath_thresholds,
     star_graph,
     triangle,
     two_diamonds_in_series,
 )
-
-
-def random_digraph(rng, n_vertices, n_edges):
-    edges = []
-    for _ in range(n_edges):
-        u = rng.randrange(n_vertices)
-        v = rng.randrange(n_vertices)
-        while v == u:
-            v = rng.randrange(n_vertices)
-        edges.append((u, v))
-    return DiGraph(n_vertices, tuple(edges), 0, n_vertices - 1)
 
 
 def random_kpath_instance(rng, max_vertices=6, max_edges=12):
@@ -436,6 +429,58 @@ def test_analytic_equals_bisection_thresholds():
             # below t1 the pruned set is unchanged, so the bisection sees
             # exactly the selection threshold
             assert threshold_bid(wins, upper) == pytest.approx(min(t1a, t2a), abs=1e-6)
+
+
+def test_kpath_thresholds_match_resolve_oracle(monkeypatch):
+    # Each threshold is one residual shortest path; re-solving a min-cost
+    # flow without the winner gives the same value, and the mechanism
+    # solves only two flows (G* and the winning flow) per run.
+    calls = []
+    real = flows.min_cost_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "min_cost_flow", counting)
+
+    def same(fast, slow):
+        if math.isinf(slow):
+            return math.isinf(fast)
+        return math.isclose(fast, slow, rel_tol=1e-9)
+
+    def check(g, bids, k):
+        calls.clear()
+        out = kpath_mechanism(g, bids, k)
+        assert len(calls) == 2
+        gstar = real(g, bids, k + 1)
+        scaled = [0.0] * g.n_edges
+        for e in gstar.edge_ids:
+            scaled[e] = bids[e] / out.lift.weights[e]
+        winner_flow = real(g, scaled, k, allowed=gstar.edge_ids)
+        assert out.pruned == gstar.edge_ids
+        assert out.winners == winner_flow.edge_ids
+        for e in sorted(out.winners):
+            t1, t2 = resolve_kpath_thresholds(g, bids, k, gstar, out.lift, winner_flow, e)
+            assert same(out.t1[e], t1), (e, out.t1[e], t1)
+            assert same(out.t2[e], t2), (e, out.t2[e], t2)
+
+    rng = random.Random(89)
+    checked = 0
+    while checked < 300:
+        # Random digraphs: cycles, parallel edges and tied integer bids.
+        g = random_digraph(rng, rng.randint(3, 8), rng.randint(3, 16))
+        mf = max_flow_value(g)
+        if mf < 2:
+            continue
+        k = rng.randint(1, mf - 1)
+        check(g, [float(rng.randint(0, 3)) for _ in range(g.n_edges)], k)
+        checked += 1
+    for layers, width, k in ((16, 3, 1), (12, 4, 2), (9, 5, 3), (12, 5, 3)):
+        g = layered_grid(rng, layers, width)
+        assert g.n_edges >= 54
+        check(g, [rng.uniform(1.0, 10.0) for _ in range(g.n_edges)], k)
+        check(g, [float(rng.randint(1, 4)) for _ in range(g.n_edges)], k)
 
 
 def test_generic_engine_matches_kpath():
