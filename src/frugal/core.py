@@ -38,9 +38,6 @@ class UndirectedGraph:
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
         for u, v in self.edges:

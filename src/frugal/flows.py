@@ -13,6 +13,16 @@ their selection ties by the same key.  Once a cheapest flow is known, the
 cheapest flow of the same size that avoids one of its edges e = (u, v) is
 one shortest u -> v path away in its residual graph (`residual_detour`),
 so the k-path thresholds need no second min-cost flow.
+
+Costs are compared exactly.  Every finite float is an integer over a
+power of two, so each cost vector becomes Python ints over one shared
+power-of-two denominator and no sum rounds.  `min_cost_flow` folds the
+tie key into the same int: edge e weighs (c << (m+1)) + 2^(m-1-e).  The
+tie part of a simple residual path lies in (-2^m, 2^m), so two paths'
+tie parts differ by less than 2^(m+1), and the shift by m+1 lets cost
+decide first.  Max-flow augmenting paths (zero weights), min-cost
+augmenting paths and the detours all run one Bellman-Ford,
+`_residual_search`, with no tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import (
     EnumerationCapError,
@@ -119,169 +129,138 @@ def tie_key(ids: Iterable[int], m: int) -> int:
 
 def max_flow_value(g: DiGraph, allowed: Optional[Iterable[int]] = None) -> int:
     """Maximum integral s-t flow using only `allowed` edges (all by default)."""
-    usable = set(range(g.n_edges)) if allowed is None else set(allowed)
-    flow = [0] * g.n_edges
-    value = 0
-    while True:
-        path = _augmenting_path_bfs(g, usable, flow)
-        if path is None:
-            return value
-        for eid, forward in path:
-            flow[eid] = 1 if forward else 0
-        value += 1
-
-
-def _augmenting_path_bfs(g: DiGraph, usable: set[int], flow: list[int]):
-    fwd: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    bwd: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for eid in usable:
-        tail, head = g.edges[eid]
-        if flow[eid] == 0:
-            fwd[tail].append(eid)
-        else:
-            bwd[head].append(eid)
-    parent: dict[int, tuple[int, bool, int]] = {}
-    frontier = [g.s]
-    seen = {g.s}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for eid in fwd[u]:
-                v = g.edges[eid][1]
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = (eid, True, u)
-                    nxt.append(v)
-            for eid in bwd[u]:
-                v = g.edges[eid][0]
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = (eid, False, u)
-                    nxt.append(v)
-        if g.t in seen:
-            break
-        frontier = nxt
-    if g.t not in seen:
-        return None
-    path = []
-    v = g.t
-    while v != g.s:
-        eid, forward, u = parent[v]
-        path.append((eid, forward))
-        v = u
-    path.reverse()
-    return path
-
-
-def _lex_shortest_residual_path(g: DiGraph, usable: set[int], flow: list[int],
-                                costs: Sequence[float]):
-    """Shortest s-t path in the residual graph under (cost, `tie_key`) order.
-
-    A forward arc adds its edge's cost and its bit 2^(m-1-id) of the
-    integer key; a backward arc subtracts both.  Residual arcs of a
-    lexicographically optimal flow contain no negative-order cycle, so
-    Bellman-Ford with n rounds settles.
-    """
-    top = g.n_edges - 1
-    arcs = []
-    for eid in usable:
-        tail, head = g.edges[eid]
-        if flow[eid] == 0:
-            arcs.append((tail, head, costs[eid], 1 << (top - eid), eid, True))
-        else:
-            arcs.append((head, tail, -costs[eid], -(1 << (top - eid)), eid, False))
-    n = g.n_vertices
-    dist: list[Optional[tuple[float, int]]] = [None] * n
-    parent: list[Optional[tuple[int, bool, int]]] = [None] * n
-    dist[g.s] = (0.0, 0)
-    for _ in range(n + 1):
-        changed = False
-        for tail, head, c, kkey, eid, forward in arcs:
-            du = dist[tail]
-            if du is None:
-                continue
-            cand = (du[0] + c, du[1] + kkey)
-            dv = dist[head]
-            if dv is None or cand < dv:
-                dist[head] = cand
-                parent[head] = (eid, forward, tail)
-                changed = True
-        if not changed:
-            break
-    else:
-        raise StructureError("residual shortest path failed to settle")
-    if dist[g.t] is None:
-        return None
-    path = []
-    v = g.t
-    while v != g.s:
-        if len(path) == n:
-            raise StructureError("residual parent pointers form a cycle")
-        eid, forward, u = parent[v]
-        path.append((eid, forward))
-        v = u
-    path.reverse()
-    return path
+    usable = range(g.n_edges) if allowed is None else frozenset(allowed)
+    return _augment(g, usable, [0] * g.n_edges, len(usable))[1]
 
 
 def min_cost_flow(g: DiGraph, costs: Sequence[float], k: int,
                   allowed: Optional[Iterable[int]] = None) -> IntegralFlow:
     """Cheapest integral flow of size exactly k; cost ties go to the smaller `tie_key`.
 
-    Successive shortest augmenting paths under (cost, integer key) order;
-    the key is exact, so the optimum is unique and its support is
-    cycle-free even when costs tie.
+    Successive shortest augmenting paths under one exact integer weight
+    per edge e, (c << (m+1)) + 2^(m-1-e), with c its cost over the shared
+    denominator.  A simple residual path's tie part lies in (-2^m, 2^m),
+    so the tie parts of two paths differ by less than 2^(m+1): the shift
+    by m+1 lets cost decide first and `tie_key` break exact ties.  The
+    optimum is unique and its support is cycle-free even when costs tie.
     """
     _check_costs(g, costs)
     if k < 0:
         raise ValidationError("flow size must be non-negative")
-    usable = set(range(g.n_edges)) if allowed is None else set(allowed)
-    flow = [0] * g.n_edges
-    for _ in range(k):
-        path = _lex_shortest_residual_path(g, usable, flow, costs)
-        if path is None:
-            raise InfeasibleFlowError(
-                f"graph has no s-t flow of size {k} within the allowed edges")
-        for eid, forward in path:
-            flow[eid] = 1 if forward else 0
-    support = frozenset(eid for eid in usable if flow[eid] == 1)
+    usable = range(g.n_edges) if allowed is None else frozenset(allowed)
+    exact, _ = _exact_costs(costs)
+    m = g.n_edges
+    weights = [(c << (m + 1)) + (1 << (m - 1 - eid)) for eid, c in enumerate(exact)]
+    carried, size = _augment(g, usable, weights, k)
+    if size < k:
+        raise InfeasibleFlowError(
+            f"graph has no s-t flow of size {k} within the allowed edges")
+    support = frozenset(carried)
     _assert_acyclic_support(g, support)
     total = float(sum(costs[eid] for eid in support))
     return IntegralFlow(support, k, total)
 
 
-def residual_detour(g: DiGraph, costs: Sequence[float], flow_edges: frozenset[int],
-                    allowed: Optional[Iterable[int]], e: int) -> float:
-    """Shortest tail(e) -> head(e) distance in a flow's residual graph without e.
+@dataclass(frozen=True)
+class ResidualGraph:
+    """Residual arcs of a flow under exact integer costs; see `residual_graph`."""
 
-    `flow_edges` is the support of a cheapest flow under `costs` within
-    the `allowed` edges (all by default) and carries e.  The cheapest flow
-    of the same size within `allowed` - {e} then costs
-    cost(flow) - costs[e] + the returned distance, which is math.inf when
-    no such flow exists.  Bellman-Ford relaxes an arc only when it gains
-    more than COST_TOL, so rounded near-zero cycles settle; the error is
-    one-sided and at most n * COST_TOL above the exact distance.  A change
-    in round n needs a residual cycle cheaper than -COST_TOL, which a
-    cheapest flow does not have, so it raises StructureError.
+    graph: DiGraph
+    flow_edges: frozenset[int]
+    out: list[list[tuple[int, int, int]]]
+    denominator: int
+
+
+def residual_graph(g: DiGraph, costs: Sequence[float], flow_edges: frozenset[int],
+                   allowed: Optional[Iterable[int]] = None) -> ResidualGraph:
+    """Residual graph of the flow `flow_edges` within the `allowed` edges (all by default).
+
+    Built once per flow and shared by every `residual_detour` on it.
     """
     _check_costs(g, costs)
-    if e not in flow_edges:
+    usable = range(g.n_edges) if allowed is None else allowed
+    exact, denominator = _exact_costs(costs)
+    return ResidualGraph(g, flow_edges, _residual_arcs(g, usable, flow_edges, exact),
+                         denominator)
+
+
+def residual_detour(residual: ResidualGraph, e: int) -> float:
+    """Shortest tail(e) -> head(e) distance in a flow's residual graph without e.
+
+    `residual.flow_edges` is the support of a cheapest flow within the
+    allowed edges and carries e.  The cheapest flow of the same size
+    within allowed - {e} then costs cost(flow) - costs[e] + the returned
+    distance, which is math.inf when no such flow exists.  The only arc
+    of e is head(e) -> tail(e), which no simple tail(e) -> head(e) path
+    uses, so it stays.  The distance is exact until its one division by
+    the shared denominator.
+    """
+    if e not in residual.flow_edges:
         raise ValidationError(f"edge {e} carries no flow")
-    n = g.n_vertices
+    src, dst = residual.graph.edges[e]
+    dist = _residual_search(residual.out, src)[0][dst]
+    return dist if dist == math.inf else dist / residual.denominator
+
+
+def _exact_costs(costs: Sequence[float]) -> tuple[list[int], int]:
+    """Costs as ints over one shared power-of-two denominator, with no rounding.
+
+    Every finite float is p / 2^j, so the largest denominator is a multiple
+    of all the others.
+    """
+    ratios = [c.as_integer_ratio() for c in costs]
+    denominator = max((d for _, d in ratios), default=1)
+    return [p * (denominator // d) for p, d in ratios], denominator
+
+
+def _residual_arcs(g: DiGraph, usable: Iterable[int], carried: AbstractSet[int],
+                   weights: Sequence[int]) -> list[list[tuple[int, int, int]]]:
+    """Successor lists (head, weight, edge id): forward arcs for free edges,
+    negated backward arcs for the `carried` ones."""
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n_vertices)]
     edges = g.edges
-    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for eid in range(g.n_edges) if allowed is None else allowed:
-        if eid == e:
-            continue
+    for eid in usable:
         tail, head = edges[eid]
-        if eid in flow_edges:
-            out[head].append((tail, -costs[eid]))
+        if eid in carried:
+            out[head].append((tail, -weights[eid], eid))
         else:
-            out[tail].append((head, costs[eid]))
-    src, dst = edges[e]
-    dist = [math.inf] * n
-    dist[src] = 0.0
-    # Round r relaxes the arcs out of the vertices that changed in round r-1.
+            out[tail].append((head, weights[eid], eid))
+    return out
+
+
+def _augment(g: DiGraph, usable: Iterable[int], weights: Sequence[int],
+             limit: int) -> tuple[set[int], int]:
+    """Up to `limit` successive shortest s-t augmenting paths from the empty flow.
+
+    Returns the carried edges and the flow size, which is below `limit`
+    only when no further s-t path exists.
+    """
+    carried: set[int] = set()
+    for size in range(limit):
+        dist, parent = _residual_search(_residual_arcs(g, usable, carried, weights), g.s)
+        if dist[g.t] == math.inf:
+            return carried, size
+        v = g.t
+        while v != g.s:
+            v, eid = parent[v]
+            carried ^= {eid}
+    return carried, limit
+
+
+def _residual_search(out: list[list[tuple[int, int, int]]], src: int):
+    """Bellman-Ford from `src` over successor lists with exact integer weights.
+
+    Round r relaxes the arcs out of the vertices that changed in round
+    r-1.  Without a negative cycle every distance settles within n-1
+    rounds and the parent arcs form a tree rooted at `src`; a change in
+    round n proves a negative cycle and raises StructureError.  Returns
+    the distances (math.inf when unreachable) and each vertex's
+    (predecessor, edge id).
+    """
+    n = len(out)
+    dist: list = [math.inf] * n
+    parent: list = [None] * n
+    dist[src] = 0
     frontier = [src]
     last_round = [-1] * n
     for r in range(n):
@@ -290,16 +269,17 @@ def residual_detour(g: DiGraph, costs: Sequence[float], flow_edges: frozenset[in
         changed: list[int] = []
         for u in frontier:
             du = dist[u]
-            for v, c in out[u]:
-                if du + c < dist[v] - COST_TOL:
-                    dist[v] = du + c
+            for v, w, eid in out[u]:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    parent[v] = (u, eid)
                     if last_round[v] != r:
                         last_round[v] = r
                         changed.append(v)
         frontier = changed
     if frontier:
-        raise StructureError("residual detour failed to settle")
-    return dist[dst]
+        raise StructureError("residual graph has a negative cycle")
+    return dist, parent
 
 
 def _check_costs(g: DiGraph, costs: Sequence[float]):

@@ -210,10 +210,11 @@ def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
     """Buy the cheapest scaled k-flow inside the pruned (k+1)-flow `gstar`.
 
     Both thresholds are one residual shortest path each
-    (`flows.residual_detour`).  For a winner e = (u, v) carried by a
-    cheapest flow f, the cheapest flow of the same size avoiding e costs
-    c(f) - c_e + d(u -> v), with d the shortest distance in f's residual
-    graph without e's two arcs:
+    (`flows.residual_detour`), over one `flows.residual_graph` built per
+    flow.  For a winner e = (u, v) carried by a cheapest flow f, the
+    cheapest flow of the same size avoiding e costs c(f) - c_e + d(u -> v),
+    with d the shortest distance in f's residual graph without e's two
+    arcs:
       1. any such flow differs from f - e by one u -> v path plus cycles,
          all made of residual arcs of f;
       2. f is cheapest, so those cycles cost at least 0;
@@ -227,11 +228,12 @@ def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
     for e in gstar.edge_ids:
         scaled[e] = bids[e] / lifted.weights[e]
     winner_flow = flows.min_cost_flow(g, scaled, k, allowed=gstar.edge_ids)
+    pruned = flows.residual_graph(g, bids, gstar.edge_ids)
+    winning = flows.residual_graph(g, scaled, winner_flow.edge_ids, gstar.edge_ids)
 
     def thresholds(e: int) -> tuple[float, float]:
-        t1 = flows.residual_detour(g, bids, gstar.edge_ids, None, e)
-        detour = flows.residual_detour(g, scaled, winner_flow.edge_ids, gstar.edge_ids, e)
-        return t1, lifted.weights[e] * detour
+        return (flows.residual_detour(pruned, e),
+                lifted.weights[e] * flows.residual_detour(winning, e))
 
     return _pay(gstar.edge_ids, lifted, winner_flow.edge_ids, bids, payment_agents, thresholds)
 
@@ -239,6 +241,7 @@ def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
 def kpath_mechanism(g: flows.DiGraph, bids: Sequence[float], k: int,
                     payment_agents: Optional[Iterable[int]] = None) -> MechanismOutcome:
     """Prune to the cheapest (k+1)-flow, lift, and buy the cheapest scaled k-flow."""
+    core.KPathSystem(g, k)  # rejects k < 1
     _check_bids(bids, g.n_edges)
     gstar = flows.cheapest_kplus1_subgraph(g, bids, k)
     lifted = spectral.lift(dependency.build_dependency_kpath(g, gstar, k))

@@ -1,7 +1,9 @@
 """Shared fixture graphs, brute-force oracles and test-only helpers.
 
-The oracles enumerate exhaustively or re-solve from scratch, and never
-call the code paths they check.
+The brute oracles enumerate exhaustively and never call the code paths
+they check; they are the independent check.  The re-solve oracle
+`resolve_kpath_thresholds` calls `flows.min_cost_flow`, which shares its
+residual search with the detours it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from frugal import flows
 from frugal.core import UndirectedGraph
 from frugal.dependency import DependencyGraph
-from frugal.errors import InfeasibleFlowError, StructureError
+from frugal.errors import InfeasibleFlowError
 from frugal.flows import DiGraph
 
 
@@ -193,10 +195,6 @@ def _resolve_cost(g: DiGraph, costs, size: int, allowed) -> float:
         return flows.min_cost_flow(g, costs, size, allowed=allowed).cost
     except InfeasibleFlowError:
         return math.inf
-    except StructureError:
-        # min_cost_flow can stop on a rounded near-zero residual cycle of
-        # float costs; exhaustive enumeration stands in for it then.
-        return brute_min_cost_flow_cost(g, costs, size, allowed)
 
 
 def resolve_kpath_thresholds(g: DiGraph, bids, k: int, gstar, lifted, winner_flow,

@@ -86,6 +86,14 @@ def test_kpath_monopoly_is_infeasible():
         kpath_mechanism(diamond(), DIAMOND_COSTS, 2)
 
 
+def test_kpath_mechanism_rejects_k_below_one():
+    # k = 0 once returned no winners and no payments; k = -1 failed later
+    # with an unrelated dependency-graph error.
+    for k in (0, -1):
+        with pytest.raises(ValidationError):
+            kpath_mechanism(diamond(), DIAMOND_COSTS, k)
+
+
 def _kpath_thresholds(g, bids, k, e):
     out = kpath_mechanism(g, bids, k, payment_agents=[e])
     return out.t1[e], out.t2[e]
@@ -162,7 +170,7 @@ def test_theorem_payment_bound_vertex_cover():
             else:
                 w = out.lift.weights
                 for v, pay in out.payments.items():
-                    assert pay <= w[v] * sum(bids[u] / w[u] for u in g.neighbors(v)) + 1e-7
+                    assert pay <= w[v] * sum(bids[u] / w[u] for u in g.adjacency()[v]) + 1e-7
                 assert out.total_payment <= out.lift.alpha * sum(bids) + 1e-7
 
 
@@ -171,7 +179,7 @@ def test_local_optimality_repair_examples():
     scaled = {0: 3.0, 1: 1.0}
     fixed = local_optimality_repair(g, scaled, {0, 1})
     for v in fixed:
-        outside = [u for u in g.neighbors(v) if u not in fixed]
+        outside = [u for u in g.adjacency()[v] if u not in fixed]
         assert scaled[v] <= sum(scaled[u] for u in outside) + 1e-9
 
     star = star_graph(3)
@@ -431,6 +439,27 @@ def test_analytic_equals_bisection_thresholds():
             assert threshold_bid(wins, upper) == pytest.approx(min(t1a, t2a), abs=1e-6)
 
 
+def _assert_matches_resolve_oracle(g, bids, k, out):
+    # Pruned set, winners, t1 and t2 of a kpath_mechanism outcome against
+    # min-cost flows re-solved without each winner.
+    def same(fast, slow):
+        if math.isinf(slow):
+            return math.isinf(fast)
+        return math.isclose(fast, slow, rel_tol=1e-9)
+
+    gstar = min_cost_flow(g, bids, k + 1)
+    scaled = [0.0] * g.n_edges
+    for e in gstar.edge_ids:
+        scaled[e] = bids[e] / out.lift.weights[e]
+    winner_flow = min_cost_flow(g, scaled, k, allowed=gstar.edge_ids)
+    assert out.pruned == gstar.edge_ids
+    assert out.winners == winner_flow.edge_ids
+    for e in sorted(out.winners):
+        t1, t2 = resolve_kpath_thresholds(g, bids, k, gstar, out.lift, winner_flow, e)
+        assert same(out.t1[e], t1), (e, out.t1[e], t1)
+        assert same(out.t2[e], t2), (e, out.t2[e], t2)
+
+
 def test_kpath_thresholds_match_resolve_oracle(monkeypatch):
     # Each threshold is one residual shortest path; re-solving a min-cost
     # flow without the winner gives the same value, and the mechanism
@@ -444,26 +473,11 @@ def test_kpath_thresholds_match_resolve_oracle(monkeypatch):
 
     monkeypatch.setattr(flows, "min_cost_flow", counting)
 
-    def same(fast, slow):
-        if math.isinf(slow):
-            return math.isinf(fast)
-        return math.isclose(fast, slow, rel_tol=1e-9)
-
     def check(g, bids, k):
         calls.clear()
         out = kpath_mechanism(g, bids, k)
         assert len(calls) == 2
-        gstar = real(g, bids, k + 1)
-        scaled = [0.0] * g.n_edges
-        for e in gstar.edge_ids:
-            scaled[e] = bids[e] / out.lift.weights[e]
-        winner_flow = real(g, scaled, k, allowed=gstar.edge_ids)
-        assert out.pruned == gstar.edge_ids
-        assert out.winners == winner_flow.edge_ids
-        for e in sorted(out.winners):
-            t1, t2 = resolve_kpath_thresholds(g, bids, k, gstar, out.lift, winner_flow, e)
-            assert same(out.t1[e], t1), (e, out.t1[e], t1)
-            assert same(out.t2[e], t2), (e, out.t2[e], t2)
+        _assert_matches_resolve_oracle(g, bids, k, out)
 
     rng = random.Random(89)
     checked = 0
@@ -481,6 +495,35 @@ def test_kpath_thresholds_match_resolve_oracle(monkeypatch):
         assert g.n_edges >= 54
         check(g, [rng.uniform(1.0, 10.0) for _ in range(g.n_edges)], k)
         check(g, [float(rng.randint(1, 4)) for _ in range(g.n_edges)], k)
+
+
+def test_kpath_tied_bids_on_92_edges_complete():
+    # A 12-layer, 5-wide grid with tied integer bids (92 edges, k = 2).
+    # Its Perron-scaled bids summed as floats round into a negative
+    # residual cycle, where the winner flow's min-cost search once stopped
+    # with "residual shortest path failed to settle".
+    edges = (
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 7), (2, 6),
+        (3, 8), (3, 7), (3, 9), (4, 9), (4, 8), (5, 10), (6, 11), (7, 12),
+        (7, 13), (8, 13), (8, 12), (9, 14), (9, 13), (10, 15), (11, 16), (12, 17),
+        (12, 16), (13, 18), (13, 19), (14, 19), (15, 20), (15, 19), (16, 21), (17, 22),
+        (17, 21), (17, 23), (18, 23), (19, 24), (20, 25), (21, 26), (22, 27), (23, 28),
+        (24, 29), (25, 30), (26, 31), (27, 32), (28, 33), (28, 34), (29, 34), (30, 35),
+        (31, 36), (31, 37), (32, 37), (33, 38), (34, 39), (34, 38), (34, 40), (35, 40),
+        (36, 41), (36, 42), (37, 42), (37, 43), (38, 43), (38, 42), (38, 44), (39, 44),
+        (40, 45), (41, 46), (42, 47), (43, 48), (44, 49), (44, 50), (45, 50), (45, 49),
+        (46, 51), (47, 52), (47, 51), (48, 53), (48, 52), (48, 54), (49, 54), (49, 53),
+        (50, 55), (51, 56), (52, 57), (52, 58), (53, 58), (54, 59), (55, 60), (56, 61),
+        (57, 61), (58, 61), (59, 61), (60, 61),
+    )
+    g = DiGraph(62, edges, 0, 61)
+    bids = [float(b) for b in (
+        1, 1, 2, 2, 1, 3, 4, 3, 1, 2, 2, 2, 4, 2, 3, 2, 2, 2, 2, 2, 4, 4, 1,
+        1, 3, 3, 1, 2, 1, 1, 2, 1, 1, 1, 1, 4, 2, 1, 2, 3, 2, 2, 4, 3, 2, 4,
+        1, 4, 3, 1, 4, 1, 4, 4, 3, 2, 4, 4, 3, 3, 1, 1, 4, 2, 3, 3, 2, 3, 2,
+        1, 4, 3, 1, 3, 3, 2, 1, 4, 2, 2, 4, 4, 4, 3, 2, 1, 4, 3, 1, 2, 3, 4,
+    )]
+    _assert_matches_resolve_oracle(g, bids, 2, kpath_mechanism(g, bids, 2))
 
 
 def test_generic_engine_matches_kpath():
