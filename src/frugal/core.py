@@ -60,9 +60,8 @@ class ExplicitSystem:
         if not self.feasible:
             raise ValidationError("at least one feasible set is required")
         fam = tuple(frozenset(s) for s in self.feasible)
-        for s in fam:
-            if not s <= self.agents:
-                raise ValidationError("feasible set lists an agent outside the system")
+        if not frozenset().union(*fam) <= self.agents <= frozenset(range(self.n_agents)):
+            raise ValidationError("feasible set or agent set lists an agent outside the system")
         object.__setattr__(self, "feasible", fam)
 
 
@@ -150,19 +149,6 @@ def is_feasible(system: SetSystemInstance, subset: Iterable[int]) -> bool:
     raise TypeError(f"not a set system: {system!r}")
 
 
-def is_monopoly_free(system: SetSystemInstance, surviving: Iterable[int]) -> bool:
-    """True when the feasible sets inside `surviving` exist and have empty intersection.
-
-    An agent sits in every feasible subset of `surviving` exactly when
-    dropping it destroys feasibility, so the check needs one feasibility
-    test per surviving agent.
-    """
-    surviving = frozenset(surviving)
-    if not is_feasible(system, surviving):
-        return False
-    return all(is_feasible(system, surviving - {e}) for e in surviving)
-
-
 def minimal_feasible_sets(system: SetSystemInstance,
                           cap: int = flows.DEFAULT_ENUM_CAP) -> list[frozenset[int]]:
     """Complete list of inclusion-minimal feasible sets, sorted lexicographically."""
@@ -219,14 +205,15 @@ def _group_unions(system: ROutOfKSystem) -> list[frozenset[int]]:
     return out
 
 
-def restrict(system: SetSystemInstance, surviving: Iterable[int],
-             cap: int = flows.DEFAULT_ENUM_CAP) -> ExplicitSystem:
+def restrict(system: SetSystemInstance, surviving: Iterable[int]) -> ExplicitSystem:
     """Explicit system generated by the minimal feasible sets inside `surviving`.
 
     Agent ids are preserved; the surviving set becomes the ground set.
+    Raises `MonopolyError` unless those sets exist and share no agent, that
+    is, unless `surviving` minus any one agent is still feasible.
     """
     surviving = frozenset(surviving)
-    if not is_monopoly_free(system, surviving):
+    inside = [m for m in minimal_feasible_sets(system) if m <= surviving]
+    if not inside or frozenset.intersection(*inside):
         raise MonopolyError("restriction is not monopoly-free")
-    inside = [m for m in minimal_feasible_sets(system, cap) if m <= surviving]
     return ExplicitSystem(n_agents(system), tuple(inside), surviving)

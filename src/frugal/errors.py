@@ -45,14 +45,6 @@ class GraphCycleError(FrugalError):
     """A directed cycle was found where a DAG was required."""
 
 
-class BenchmarkError(FrugalError):
-    """A benchmark program is infeasible, unbounded, or has no tight assignment."""
-
-
-class NumericalError(FrugalError):
-    """A numerical routine lost too much precision to continue."""
-
-
 class ParseError(FrugalError):
     """Malformed instance or report text."""
 

@@ -285,11 +285,12 @@ def _residual_search(out: list[list[tuple[int, int, int]]], src: int):
 def _check_costs(g: DiGraph, costs: Sequence[float]):
     if len(costs) != g.n_edges:
         raise ValidationError("cost vector length must equal the edge count")
-    if all(map(math.isfinite, costs)) and min(costs, default=0.0) >= 0:
+    if math.isfinite(sum(costs)) and min(costs, default=0.0) >= 0:
         return
     for eid, c in enumerate(costs):
         if c < 0 or not math.isfinite(c):
             raise ValidationError(f"edge {eid} has an invalid cost {c}")
+    raise ValidationError("edge costs total more than the largest float")
 
 
 def _assert_acyclic_support(g: DiGraph, support: frozenset[int]):

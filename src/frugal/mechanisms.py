@@ -3,10 +3,18 @@
 The engine prunes agents with a monotone bid-independent rule, scales the
 survivors' bids by the Perron weights of their dependency graph, picks
 the feasible set with the smallest scaled total, and pays each winner
-min(t1, t2): t1 is the highest bid that still survives pruning, t2 the
-highest bid that still wins selection with the pruned set and weights
-held fixed.  Infinite thresholds are represented by math.inf, never by a
-large float.
+min(t1, t2): the highest bids with which it still survives pruning and,
+pruned set and weights held fixed, still wins selection.  Infinite
+thresholds are math.inf, never a large float.
+
+A stage that picks the cheapest member S of a bid-independent family pays
+e in S c(A) - c(S - e), A the cheapest member avoiding e, or math.inf if
+none does (Archer & Tardos, SODA 2002).  `_cheapest_threshold` finds A by
+one re-run with e priced out, `_kpath_outcome` by one residual detour.
+  1. bidding beta moves every member with e by the same amount, so the
+     cheapest of them stays S, at c(S - e) + beta;
+  2. members without e do not move, so the cheapest of them stays A;
+  3. so e wins below c(A) - c(S - e) and loses above it.
 
 Every mechanism ends in `_pay`, the single payment path: it picks the
 winners to pay, asks the mechanism's own `thresholds(e) -> (t1, t2)` for
@@ -15,7 +23,9 @@ each of them, checks payment >= bid and builds the `MechanismOutcome`.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -31,6 +41,9 @@ from .errors import (
 PAY_TOL = 1e-9
 EXACT_COVER_CAP = 30
 THRESHOLD_PROBES = 32
+# Bids total at most this, so a bid priced out at 1 + 2 * total and every
+# sum of a threshold re-run stay finite.
+BID_TOTAL_CAP = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,8 @@ def _check_bids(bids: Sequence[float], n: int):
     for e, b in enumerate(bids):
         if b < 0 or not math.isfinite(b):
             raise ValidationError(f"agent {e} has an invalid bid {b}")
+    if sum(bids) > BID_TOTAL_CAP:
+        raise ValidationError(f"bids total more than {BID_TOTAL_CAP}")
 
 
 def _pay(pruned: Iterable[int], lifted: Optional[spectral.SpectralLift],
@@ -106,27 +121,36 @@ def threshold_bid(win_predicate: Callable[[float], bool], upper: float,
     return 0.5 * (lo + hi)
 
 
-def _threshold_or_inf(win_predicate, upper, tol=1e-9) -> float:
-    value = threshold_bid(win_predicate, upper, tol)
-    return math.inf if value == upper else value
+def _cheapest_threshold(rule: Callable[[dict[int, float]], Iterable[int]],
+                        costs: dict[int, float], chosen: frozenset[int], e: int) -> float:
+    """Threshold of `e` in `chosen`, the cheapest set `rule` picks under `costs`.
+
+    Priced at 1 + 2 * (sum of all costs), e makes every set that has it
+    dearer than every set that lacks it (module docstring)."""
+    trial = dict(costs)
+    trial[e] = 1.0 + 2.0 * sum(costs.values())
+    alt = frozenset(rule(trial))
+    if e in alt:
+        return math.inf
+    return math.fsum([costs[o] for o in alt] + [-costs[o] for o in chosen if o != e])
 
 
 def _selection_threshold(select: Callable[[dict[int, float]], frozenset[int]],
-                         scaled: dict[int, float], e: int, w_e: float, bid: float,
-                         tol: float) -> float:
+                         scaled: dict[int, float], e: int, w_e: float, bid: float) -> float:
     """Highest bid with which `e` is still selected, the other scaled bids fixed.
 
-    The bisection runs up to max(w_e * (1 + sum of the other scaled bids),
-    bid + 1); an agent still selected there gets an infinite threshold.
+    The bisection (tolerance 1e-10) runs up to max(w_e * (1 + sum of the
+    other scaled bids), bid + 1); an agent still selected there gets math.inf.
     """
-    upper = w_e * (1.0 + sum(sc for o, sc in scaled.items() if o != e))
+    upper = max(w_e * (1.0 + sum(sc for o, sc in scaled.items() if o != e)), bid + 1.0)
 
     def selected(beta: float) -> bool:
         trial = dict(scaled)
         trial[e] = beta / w_e
         return e in select(trial)
 
-    return _threshold_or_inf(selected, max(upper, bid + 1.0), tol)
+    value = threshold_bid(selected, upper, 1e-10)
+    return math.inf if value == upper else value
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +176,6 @@ def argmin_selector(restricted: core.ExplicitSystem, scaled: dict[int, float]) -
         if best is None or cost < best[0] - 1e-12 or _wins_tie(
                 cost, cand, best[0], best[1], restricted.n_agents):
             best = (cost, cand)
-    if best is None:
-        raise MonopolyError("restricted system has no feasible set")
     return frozenset(best[1])
 
 
@@ -170,9 +192,13 @@ def run_pruning_lifting(instance: core.SetSystemInstance, bids: Sequence[float],
                         payment_agents: Optional[Iterable[int]] = None) -> MechanismOutcome:
     """Run the full scheme with caller-supplied pruning and selection rules.
 
-    Thresholds are found by bisection against the two stages, so any
-    monotone bid-independent pruner works.  `payment_agents` limits the
-    threshold computation (the totals then cover only those agents).
+    `pruner(bids)` returns the cheapest member of a bid-independent family
+    (as `kpath_pruner`), `selector(restricted, scaled)` the cheapest
+    feasible set of `restricted` (as `argmin_selector`).  Then t1 and
+    t2 / w_e are one re-run of each with the winner priced out (module
+    docstring); `_pay`'s payment >= bid check rejects rules that break
+    this.  `payment_agents` limits the threshold computation (the totals
+    then cover only those agents).
     """
     n = core.n_agents(instance)
     _check_bids(bids, n)
@@ -185,17 +211,12 @@ def run_pruning_lifting(instance: core.SetSystemInstance, bids: Sequence[float],
     if not core.is_feasible(instance, winners) or not winners <= surviving:
         raise StructureError("selector returned a non-feasible winner set")
 
-    upper_prune = 1.0 + 2.0 * float(sum(bids))
+    bid_costs = dict(enumerate(bids))
+    select = functools.partial(selector, restricted)
 
     def thresholds(e: int) -> tuple[float, float]:
-        def survives(beta: float) -> bool:
-            trial = list(bids)
-            trial[e] = beta
-            return e in pruner(trial)
-
-        return (_threshold_or_inf(survives, upper_prune),
-                _selection_threshold(lambda sc: selector(restricted, sc), scaled,
-                                     e, lifted.weights[e], bids[e], 1e-9))
+        return (_cheapest_threshold(lambda c: pruner(list(c.values())), bid_costs, surviving, e),
+                lifted.weights[e] * _cheapest_threshold(select, scaled, winners, e))
 
     return _pay(surviving, lifted, winners, bids, payment_agents, thresholds)
 
@@ -378,7 +399,7 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
         if mode == "exact":
             avoid_cost, _ = _cover_branch_and_bound(graph, scaled, exclude=v)
             return math.inf, w_v * (avoid_cost - cover_cost + scaled[v])
-        return math.inf, _selection_threshold(select, scaled, v, w_v, bids[v], 1e-10)
+        return math.inf, _selection_threshold(select, scaled, v, w_v, bids[v])
 
     return _pay(range(graph.n_vertices), lifted, winners, bids, payment_agents, thresholds)
 
@@ -458,19 +479,15 @@ def sqrt_mechanism(g: flows.DiGraph, bids: Sequence[float],
 
 def vcg(instance: core.SetSystemInstance, bids: Sequence[float],
         payment_agents: Optional[Iterable[int]] = None) -> MechanismOutcome:
-    """Cheapest feasible set wins; winners get their threshold bids."""
+    """Cheapest feasible set wins; each winner is paid by one re-run of
+    `argmin_selector` with it priced out (module docstring)."""
     n = core.n_agents(instance)
     _check_bids(bids, n)
-    minimal = core.minimal_feasible_sets(instance)
-    if not minimal:
-        raise MonopolyError("instance has no feasible set")
-    if frozenset.intersection(*minimal):
-        raise MonopolyError("instance is not monopoly-free")
-    winners = argmin_selector(core.ExplicitSystem(n, tuple(minimal)), dict(enumerate(bids)))
-    cost = sum(bids[e] for e in winners)
+    select = functools.partial(argmin_selector, core.restrict(instance, range(n)))
+    costs = dict(enumerate(bids))
+    winners = select(costs)
 
     def thresholds(e: int) -> tuple[float, float]:
-        alt = min(sum(bids[o] for o in cand) for cand in minimal if e not in cand)
-        return math.inf, alt - (cost - bids[e])
+        return math.inf, _cheapest_threshold(select, costs, winners, e)
 
     return _pay(range(n), None, winners, bids, payment_agents, thresholds)

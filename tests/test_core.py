@@ -14,12 +14,11 @@ from frugal.core import (
     UndirectedGraph,
     VertexCoverSystem,
     is_feasible,
-    is_monopoly_free,
     minimal_feasible_sets,
     restrict,
     system_agents,
 )
-from frugal.errors import EnumerationCapError, MonopolyError
+from frugal.errors import EnumerationCapError, MonopolyError, ValidationError
 from frugal.flows import min_cost_flow
 
 from fixtures import DIAMOND_COSTS, brute_minimal_sets, diamond, star_graph
@@ -52,10 +51,11 @@ def test_feasible_vertex_cover():
 
 def test_monopoly_free_examples():
     sysd = KPathSystem(diamond(), 1)
-    assert is_monopoly_free(sysd, {0, 1, 2, 3})
-    assert not is_monopoly_free(sysd, {0, 2})
+    restrict(sysd, {0, 1, 2, 3})
+    with pytest.raises(MonopolyError):
+        restrict(sysd, {0, 2})
     vc = VertexCoverSystem(UndirectedGraph(2, ((0, 1),)))
-    assert is_monopoly_free(vc, {0, 1})
+    restrict(vc, {0, 1})
 
 
 def test_minimal_sets_examples():
@@ -121,6 +121,15 @@ def test_restrict_kpath_flow_subgraph():
 def test_restrict_monopoly_error():
     with pytest.raises(MonopolyError):
         restrict(KPathSystem(diamond(), 1), {0, 2})
+
+
+def test_restrict_rejects_agents_outside_the_system():
+    with pytest.raises(ValidationError):
+        restrict(KPathSystem(diamond(), 1), {0, 1, 2, 3, 9})
+    with pytest.raises(ValidationError):
+        ExplicitSystem(3, (frozenset({0, 1}),), frozenset({0, 1, 5}))
+    with pytest.raises(ValidationError):
+        ExplicitSystem(3, (frozenset({0, 4}),))
 
 
 def test_upward_closure_exhaustive():

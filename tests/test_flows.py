@@ -22,7 +22,7 @@ from frugal.flows import (
     residual_graph,
     tie_key,
 )
-from frugal.mechanisms import argmin_selector
+from frugal.mechanisms import argmin_selector, kpath_mechanism
 
 from fixtures import (
     DIAMOND_COSTS,
@@ -153,6 +153,12 @@ def test_residual_detour_unreachable_and_invalid():
         residual_detour(residual_graph(g, DIAMOND_COSTS, one), 1)
     with pytest.raises(ValidationError):
         residual_detour(residual_graph(g, DIAMOND_COSTS[:3], one), 0)
+    # Valid costs whose total overflows: the exact detour once exceeded the
+    # float range with an untyped OverflowError, and the flow cost read inf.
+    with pytest.raises(ValidationError):
+        min_cost_flow(g, [1e308] * 4, 2)
+    with pytest.raises(ValidationError):
+        kpath_mechanism(g, [1e300, 1.7e308, 1e300, 1.7e308], 1)
 
 
 def test_residual_detour_settles_on_rounded_cycle():

@@ -526,17 +526,38 @@ def test_kpath_tied_bids_on_92_edges_complete():
     _assert_matches_resolve_oracle(g, bids, 2, kpath_mechanism(g, bids, 2))
 
 
-def test_generic_engine_matches_kpath():
+def test_generic_engine_matches_kpath(monkeypatch):
+    # Each generic threshold is one re-run of the pruner or the selector
+    # with the winner priced out: the same values as kpath_mechanism's
+    # residual detours, from one min-cost flow for pruning plus one per
+    # winner for t1.
+    calls = []
+    real = flows.min_cost_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def same(generic, fast):
+        if math.isinf(fast):
+            return generic == fast
+        return math.isclose(generic, fast, rel_tol=1e-12)
+
+    monkeypatch.setattr(flows, "min_cost_flow", counting)
     rng = random.Random(83)
     for _ in range(8):
         g, k = random_kpath_instance(rng, max_vertices=5, max_edges=8)
         bids = [float(rng.randint(0, 9)) for _ in range(g.n_edges)]
         fast = kpath_mechanism(g, bids, k)
+        calls.clear()
         generic = run_pruning_lifting(
             KPathSystem(g, k), bids, kpath_pruner(g, k), argmin_selector)
+        assert len(calls) == 1 + len(generic.winners)
         assert fast.pruned == generic.pruned
         assert fast.winners == generic.winners
         for e in fast.winners:
+            assert same(generic.t1[e], fast.t1[e]), (e, generic.t1[e], fast.t1[e])
+            assert same(generic.t2[e], fast.t2[e]), (e, generic.t2[e], fast.t2[e])
             assert fast.payments[e] == pytest.approx(generic.payments[e], abs=1e-6)
 
 
