@@ -213,7 +213,19 @@ def restrict(system: SetSystemInstance, surviving: Iterable[int]) -> ExplicitSys
     is, unless `surviving` minus any one agent is still feasible.
     """
     surviving = frozenset(surviving)
-    inside = [m for m in minimal_feasible_sets(system) if m <= surviving]
+    if not surviving <= system_agents(system):
+        raise ValidationError("surviving set lists an agent outside the system")
+    if isinstance(system, KPathSystem):
+        # The minimal sets inside `surviving` are the minimal flow unions
+        # of its subgraph; `kept` maps that subgraph's edge ids back, in
+        # increasing order, so the lexicographic order carries over.
+        kept = sorted(surviving)
+        g = system.graph
+        sub = flows.DiGraph(g.n_vertices, tuple(g.edges[e] for e in kept), g.s, g.t)
+        inside = [frozenset(kept[i] for i in m)
+                  for m in minimal_feasible_sets(KPathSystem(sub, system.k))]
+    else:
+        inside = [m for m in minimal_feasible_sets(system) if m <= surviving]
     if not inside or frozenset.intersection(*inside):
         raise MonopolyError("restriction is not monopoly-free")
     return ExplicitSystem(n_agents(system), tuple(inside), surviving)

@@ -6,12 +6,13 @@ least one of the two.  Feasible sets are therefore vertex covers of this
 graph.
 
 For a k-path system pruned to a (k+1)-flow G*, the pairs come from the
-structure of minimum cuts instead of one max-flow per pair: {a, b} is
-joined exactly when b lies in some minimum s-t cut of G* - a, and one
-strongly-connected-component pass over a residual graph finds every such
-b at once (Picard & Queyranne, "On the structure of all minimum cuts in
-a network", Math. Prog. Study 13, 1980).  `build_dependency_kpath` gives
-the proof.
+structure of minimum cuts instead of one max-flow per pair: every edge of
+G* carries flow, so its minimum s-t cuts are exactly its
+predecessor-closed vertex sets (Picard & Queyranne, "On the structure of
+all minimum cuts in a network", Math. Prog. Study 13, 1980), and two
+edges are joined exactly when neither reaches the other in the acyclic
+G*.  One reachability sweep in each direction finds every pair;
+`build_dependency_kpath` gives the proof.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import core, flows
-from .errors import MonopolyError, StructureError, ValidationError
+from .errors import GraphCycleError, MonopolyError, StructureError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,24 @@ def build_dependency_kpath(g: flows.DiGraph, gstar: flows.IntegralFlow,
                            k: int) -> DependencyGraph:
     """Dependency graph of a k-path system pruned to the (k+1)-flow `gstar`.
 
-    {a, b} is joined exactly when G* - a - b carries no k-flow, i.e. when b
-    lies in some minimum s-t cut of G* - a.  Split G* into its k+1 paths
-    and let a lie on path P; then
-      1. G* - a carries exactly k: the other k paths are a k-flow, and a
-         (k+1)-flow avoiding a would leave a nonempty directed cycle in
-         G*, whose support is acyclic;
-      2. the residual graph of that k-flow has a reverse arc for each edge
-         of the other paths and a forward arc for each edge of P - {a};
-         a flow-carrying edge (u, v) lies in some minimum cut iff no
-         residual path runs u -> v, since the set reachable from u holds
-         everything reachable from s (reverse arcs lead from u back to s
-         along u's path) and holds t only if it holds v (they lead from t
-         back to v), so without v it is the source side of a minimum cut;
-      3. edges of P - {a} carry no flow, so they lie in no minimum cut.
-    A flow-carrying edge has the reverse arc v -> u, so the test in 2 is
-    "u and v lie in different strongly connected components" (Picard &
-    Queyranne, Math. Prog. Study 13, 1980): one linear pass per edge a,
-    and no max-flow calls.
+    Edges a and b of G* are joined exactly when neither reaches the other
+    in G*, that is, when no path of G* runs from head(a) to tail(b) or
+    from head(b) to tail(a):
+      1. {a, b} is joined <=> G* - a - b carries no k-flow <=> some
+         minimum s-t cut of G* (k+1 edges) contains both a and b;
+      2. every edge of G* carries flow, so |out(X)| - |in(X)| = k+1 for
+         every s-t cut X, and X is minimum <=> no edge of G* enters X;
+      3. the smallest such X holding tail(a) and tail(b) is the set of
+         vertices that reach either tail (it holds s, since every vertex
+         of G* lies on an s-t path); it leaves out head(a), head(b) and
+         with them t <=> neither head reaches the other edge's tail, as
+         acyclicity keeps head(a) from reaching tail(a);
+      4. so a ~ b <=> a and b are incomparable under reachability in G*
+         (the minimum cuts are the predecessor-closed vertex sets; Picard
+         & Queyranne, Math. Prog. Study 13, 1980).
+    One backward and one forward sweep in topological order give, per
+    vertex, the bitset of edges below and above it; edge a is joined to
+    every other edge outside below(head a) | above(tail a).
 
     Raises ValidationError unless `gstar` has k+1 paths, and
     StructureError when its support does not split into k+1 s-t paths
@@ -130,34 +131,32 @@ def build_dependency_kpath(g: flows.DiGraph, gstar: flows.IntegralFlow,
         raise ValidationError(
             f"pruned flow has {gstar.size} paths; a k-path system with k={k} "
             f"is pruned to k+1")
-    paths = flows.flow_paths(g, gstar)
-    verts = sorted({v for eid in gstar.edge_ids for v in g.edges[eid]})
-    support: dict[int, list[int]] = {v: [] for v in verts}
-    for eid in gstar.edge_ids:
-        tail, head = g.edges[eid]
-        support[tail].append(head)
-    if len(flows.strongly_connected_components(verts, support)) < len(verts):
+    flows.flow_paths(g, gstar)  # validates the split into k+1 s-t paths
+    try:
+        order = flows._topological_order(g, gstar.edge_ids)
+    except GraphCycleError:
         raise StructureError("support of the pruned flow contains a directed cycle")
+    out: dict[int, list[int]] = {v: [] for v in order}
+    for eid in gstar.edge_ids:
+        out[g.edges[eid][0]].append(eid)
+    # Bit e of below[v] (above[v]) is set when edge e is reachable from v
+    # (reaches v).
+    below = dict.fromkeys(order, 0)
+    above = dict.fromkeys(order, 0)
+    for v in order:
+        for eid in out[v]:
+            above[g.edges[eid][1]] |= above[v] | 1 << eid
+    for v in reversed(order):
+        for eid in out[v]:
+            below[v] |= below[g.edges[eid][1]] | 1 << eid
+    nodes = tuple(sorted(gstar.edge_ids))
+    full = sum(1 << eid for eid in nodes)
     edges = set()
-    for i, path in enumerate(paths):
-        others = [b for j, other in enumerate(paths) if j != i for b in other]
-        out: dict[int, list[int]] = {v: [] for v in verts}
-        for b in others:
-            tail, head = g.edges[b]
-            out[head].append(tail)
-        for eid in path:
-            tail, head = g.edges[eid]
-            out[tail].append(head)
-        for a in path:
-            tail, head = g.edges[a]
-            out[tail].remove(head)
-            comp_of = {}
-            for ci, comp in enumerate(flows.strongly_connected_components(verts, out)):
-                for v in comp:
-                    comp_of[v] = ci
-            out[tail].append(head)
-            for b in others:
-                tail_b, head_b = g.edges[b]
-                if comp_of[tail_b] != comp_of[head_b]:
-                    edges.add((min(a, b), max(a, b)))
-    return DependencyGraph(tuple(sorted(gstar.edge_ids)), frozenset(edges))
+    for a in nodes:
+        tail, head = g.edges[a]
+        rest = (full & ~(below[head] | above[tail])) >> (a + 1)
+        while rest:
+            low = rest & -rest
+            edges.add((a, a + low.bit_length()))
+            rest ^= low
+    return DependencyGraph(nodes, frozenset(edges))

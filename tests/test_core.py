@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frugal import flows
 from frugal.core import (
     ExplicitSystem,
     KPathSystem,
@@ -19,9 +21,9 @@ from frugal.core import (
     system_agents,
 )
 from frugal.errors import EnumerationCapError, MonopolyError, ValidationError
-from frugal.flows import min_cost_flow
+from frugal.flows import max_flow_value, min_cost_flow
 
-from fixtures import DIAMOND_COSTS, brute_minimal_sets, diamond, star_graph
+from fixtures import DIAMOND_COSTS, brute_minimal_sets, diamond, random_digraph, star_graph
 
 
 def three_groups():
@@ -121,6 +123,43 @@ def test_restrict_kpath_flow_subgraph():
 def test_restrict_monopoly_error():
     with pytest.raises(MonopolyError):
         restrict(KPathSystem(diamond(), 1), {0, 2})
+
+
+def test_restrict_kpath_enumerates_only_the_survivors(monkeypatch):
+    # restrict on a k-path system equals filtering the whole system's
+    # minimal sets to the survivors, monopoly cases included, and its
+    # enumeration never sees an edge outside them.
+    seen = []
+    real = flows.enumerate_flow_unions
+
+    def recording(g, *args, **kwargs):
+        seen.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "enumerate_flow_unions", recording)
+    rng = random.Random(59)
+    monopolies = checked = 0
+    while checked < 150:
+        g = random_digraph(rng, rng.randint(3, 6), rng.randint(3, 11))
+        mf = max_flow_value(g)
+        if mf < 2:
+            continue
+        k = rng.randint(1, mf - 1)
+        system = KPathSystem(g, k)
+        surviving = frozenset(e for e in range(g.n_edges) if rng.random() < 0.8)
+        inside = [m for m in minimal_feasible_sets(system) if m <= surviving]
+        seen.clear()
+        if not inside or frozenset.intersection(*inside):
+            with pytest.raises(MonopolyError):
+                restrict(system, surviving)
+            monopolies += 1
+        else:
+            assert restrict(system, surviving) == ExplicitSystem(
+                g.n_edges, tuple(inside), surviving)
+        assert [Counter(sub.edges) for sub in seen] == [
+            Counter(g.edges[e] for e in surviving)]
+        checked += 1
+    assert 0 < monopolies < checked
 
 
 def test_restrict_rejects_agents_outside_the_system():

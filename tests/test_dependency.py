@@ -38,6 +38,7 @@ from fixtures import (
     layered_grid,
     para,
     para_costs,
+    parallel_edges,
     random_digraph,
     star_graph,
     two_diamonds_in_series,
@@ -106,7 +107,7 @@ def test_generic_matches_kpath_fast_path():
 
 
 def test_kpath_builder_matches_pairwise_oracle(monkeypatch):
-    # The residual-SCC builder agrees edge for edge with one max-flow per
+    # The reachability builder agrees edge for edge with one max-flow per
     # pair, and makes no max-flow call of its own.
     calls = []
     real = flows.max_flow_value
@@ -140,6 +141,39 @@ def test_kpath_builder_matches_pairwise_oracle(monkeypatch):
         assert g.n_edges > 53
         check(g, [rng.uniform(1.0, 10.0) for _ in range(g.n_edges)], k)
         check(g, [float(rng.randint(1, 4)) for _ in range(g.n_edges)], k)
+
+
+def test_kpath_builder_makes_no_scc_pass_on_wide_flows(monkeypatch):
+    # Joined pairs come from one reachability sweep, not from a
+    # strongly-connected-component pass per edge; checked on G* of up to
+    # six paths and on G* with parallel edges.
+    calls = []
+    real = flows.strongly_connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "strongly_connected_components", counting)
+
+    def check(g, costs, k):
+        gstar = cheapest_kplus1_subgraph(g, costs, k)
+        assert build_dependency_kpath(g, gstar, k) == brute_dependency_kpath(g, gstar, k)
+
+    rng = random.Random(53)
+    for layers, width in ((3, 4), (5, 5), (4, 6), (6, 6)):
+        g = layered_grid(rng, layers, width)
+        for k in range(1, width):
+            check(g, [rng.uniform(1.0, 10.0) for _ in range(g.n_edges)], k)
+            check(g, [float(rng.randint(1, 3)) for _ in range(g.n_edges)], k)
+    check(parallel_edges(4), [1.0] * 4, 3)
+    # s->a twice, a->t twice and s->t: the parallel pairs are joined to
+    # each other and to s->t, but not across a.
+    g = DiGraph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2)), 0, 2)
+    check(g, [1.0] * 5, 2)
+    h = build_dependency_kpath(g, min_cost_flow(g, [1.0] * 5, 3), 2)
+    assert h.edges == frozenset({(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)})
+    assert calls == []
 
 
 def test_kpath_builder_rejects_wrong_path_count():
@@ -221,7 +255,10 @@ def test_connectivity_iff_no_articulation():
 
 
 def test_claim_interval_property():
-    # Neighbours of any node along any s-t path of G* form one contiguous run.
+    # Neighbours of any node along any s-t path of G* form one contiguous
+    # run.  This is a corollary of the builder's incomparability rule:
+    # along a path, the edges comparable with v form a prefix (those
+    # that reach v) and a suffix (those v reaches).
     rng = random.Random(43)
     examples = 0
     while examples < 20:
