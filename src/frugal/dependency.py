@@ -63,13 +63,8 @@ def build_dependency(restricted: core.SetSystemInstance,
                      cap: int = flows.DEFAULT_ENUM_CAP) -> DependencyGraph:
     """Dependency graph of a monopoly-free (restricted) system.
 
-    Vertex-cover systems are their own dependency graph.  The generic
-    path tests every agent pair against the minimal feasible sets.
+    Tests every agent pair against the minimal feasible sets.
     """
-    if isinstance(restricted, core.VertexCoverSystem):
-        g = restricted.graph
-        nodes = tuple(range(g.n_vertices))
-        return DependencyGraph(nodes, frozenset(g.edges))
     agents = sorted(core.system_agents(restricted))
     minimal = core.minimal_feasible_sets(restricted, cap)
     inter = frozenset(agents)

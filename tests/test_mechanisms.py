@@ -28,6 +28,7 @@ from frugal.mechanisms import (
     vcg,
     vertex_cover_mechanism,
 )
+from frugal.mechanisms import _cover_branch_and_bound
 from frugal.spectral import lift
 
 from fixtures import (
@@ -150,10 +151,11 @@ def test_vertex_cover_triangle():
 
 def test_theorem_payment_bound_vertex_cover():
     # exact: total payment <= alpha * sum of costs outside the cover.
-    # approx2 keeps only each winning cover locally optimal while the rest
-    # of the cover may change, so it promises the weaker bounds in the
-    # vertex_cover_mechanism docstring: each payment <= w_v * sum of the
-    # scaled bids of v's neighbours, and the total <= alpha * c(V).
+    # approx2 pays w_v * D_v, the dual its primal-dual pass raises on v's
+    # edges with v priced out, and D_v <= s(N(v)); so it promises the
+    # weaker bounds in the vertex_cover_mechanism docstring: each payment
+    # <= w_v * sum of the scaled bids of v's neighbours, and the total
+    # <= alpha * c(V).
     rng = random.Random(67)
     for _ in range(40):
         n = rng.randint(2, 8)
@@ -198,15 +200,61 @@ def test_approx2_cover_quality():
         if not edges:
             continue
         g = UndirectedGraph(n, tuple(edges))
-        scaled = {v: float(rng.randint(0, 9)) for v in range(n)}
-        cover = primal_dual_cover(g, scaled)
+        bids = [float(rng.randint(0, 9)) for _ in range(n)]
+        out = vertex_cover_mechanism(g, bids, mode="approx2")
+        scaled = {v: bids[v] / out.lift.weights[v] for v in range(n)}
+        assert out.winners == primal_dual_cover(g, scaled)
         for u, v in g.edges:
-            assert u in cover or v in cover
-        repaired = local_optimality_repair(g, scaled, cover)
-        from frugal.mechanisms import _cover_branch_and_bound
-
+            assert u in out.winners or v in out.winners
         opt_cost, _ = _cover_branch_and_bound(g, scaled)
-        assert sum(scaled[v] for v in repaired) <= 2.0 * opt_cost + 1e-9
+        assert sum(scaled[v] for v in out.winners) <= 2.0 * opt_cost + 1e-9
+
+
+def _primal_dual_bisection(g, bids, out, v):
+    # Oracle for approx2's t2: bisect v's bid against primal_dual_cover, the
+    # other scaled bids fixed.  D_v <= s(N(v)), so v loses at the upper end.
+    w = out.lift.weights
+    scaled = {u: bids[u] / w[u] for u in range(g.n_vertices)}
+    upper = w[v] * (1.0 + sum(sc for u, sc in scaled.items() if u != v))
+    return threshold_bid(
+        lambda beta: v in primal_dual_cover(g, {**scaled, v: beta / w[v]}), upper, 1e-10)
+
+
+def test_approx2_pays_the_bisected_threshold_where_the_repair_was_not_monotone():
+    # With local-optimality repair after the primal-dual cover, approx2
+    # bought {1, 4, 6} here, and vertex 1's win predicate lost and then won
+    # again on the probe grid (MonotonicityError).
+    g = UndirectedGraph(7, ((0, 1), (0, 4), (1, 3), (1, 6), (3, 6), (4, 5), (5, 6)))
+    bids = [7.0, 5.0, 5.0, 7.0, 2.0, 4.0, 9.0]
+    out = vertex_cover_mechanism(g, bids, mode="approx2")
+    assert out.winners == frozenset({1, 3, 4, 6})
+    for v in out.winners:
+        assert out.t2[v] == pytest.approx(_primal_dual_bisection(g, bids, out, v), rel=1e-9)
+    assert [round(out.t2[v], 4) for v in sorted(out.winners)] == [28.8602, 7.3822, 6.4880, 15.0061]
+
+
+def test_approx2_thresholds_are_exact_on_random_graphs():
+    rng = random.Random(103)
+    graphs = 0
+    while graphs < 300:
+        n = rng.randint(3, 9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        if not edges:
+            continue
+        graphs += 1
+        g = UndirectedGraph(n, tuple(edges))
+        bids = [float(rng.randint(0, 9)) for _ in range(n)]
+        out = vertex_cover_mechanism(g, bids, mode="approx2")
+        for v in out.winners:
+            t2 = out.t2[v]
+            # abs: a threshold of 0 is bisected to within the tolerance 1e-10
+            assert math.isclose(t2, _primal_dual_bisection(g, bids, out, v),
+                                rel_tol=1e-9, abs_tol=1e-10)
+            for beta, wins in ((t2 * (1 - 1e-9), True), (t2 * (1 + 1e-9) + 1e-12, False)):
+                trial = list(bids)
+                trial[v] = beta
+                trial_out = vertex_cover_mechanism(g, trial, mode="approx2", payment_agents=[])
+                assert (v in trial_out.winners) == wins
 
 
 # ---------------------------------------------------------------------------
