@@ -9,8 +9,10 @@ r out of k agent groups.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from . import flows
 from .errors import EnumerationCapError, MonopolyError, ValidationError
@@ -102,6 +104,79 @@ class ROutOfKSystem:
         if sorted(flat) != list(range(len(flat))):
             raise ValidationError("groups must partition agent ids 0..n-1")
         object.__setattr__(self, "groups", tuple(tuple(grp) for grp in self.groups))
+
+    @cached_property
+    def group_of(self) -> tuple[int, ...]:
+        """`group_of[a]` is the index of agent a's group; built on first use."""
+        group_of = [0] * sum(map(len, self.groups))
+        for i, grp in enumerate(self.groups):
+            for a in grp:
+                group_of[a] = i
+        return tuple(group_of)
+
+
+class GroupMembers(AbstractSet[int]):
+    """Read-only set of the agents of some whole groups of an r-out-of-k system.
+
+    It holds the system and a bitmask of the groups only, so its size does
+    not grow with the groups.  Iteration is in increasing agent id.
+    """
+
+    __slots__ = ("system", "mask")
+
+    def __init__(self, system: ROutOfKSystem, groups: Iterable[int]):
+        self.system = system
+        self.mask = 0
+        for i in groups:
+            self.mask |= 1 << i
+
+    def __contains__(self, a) -> bool:
+        of = self.system.group_of
+        return isinstance(a, int) and 0 <= a < len(of) and self.mask >> of[a] & 1 == 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(a for i, grp in enumerate(self.system.groups)
+                           if self.mask >> i & 1 for a in grp))
+
+    def __len__(self) -> int:
+        return sum(len(grp) for i, grp in enumerate(self.system.groups) if self.mask >> i & 1)
+
+    @classmethod
+    def _from_iterable(cls, agents: Iterable[int]) -> frozenset[int]:
+        return frozenset(agents)
+
+
+class GroupMap(Mapping[int, float]):
+    """Read-only map giving each agent of some groups of an r-out-of-k system
+    its group's value.
+
+    `by_group[i]` is group i's value, None for a group outside the map; the
+    map holds that list and the system only.  `keys()` is the
+    `GroupMembers` of its groups.
+    """
+
+    __slots__ = ("members", "by_group")
+
+    def __init__(self, system: ROutOfKSystem, by_group: list[Optional[float]]):
+        self.members = GroupMembers(system, (i for i, v in enumerate(by_group) if v is not None))
+        self.by_group = by_group
+
+    def __getitem__(self, a: int) -> float:
+        if a not in self.members:
+            raise KeyError(a)
+        return self.by_group[self.members.system.group_of[a]]
+
+    def __contains__(self, a) -> bool:
+        return a in self.members
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def keys(self) -> GroupMembers:
+        return self.members
 
 
 SetSystemInstance = Union[ExplicitSystem, KPathSystem, VertexCoverSystem, ROutOfKSystem]

@@ -18,10 +18,9 @@ G*.  One reachability sweep in each direction finds every pair;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import core, flows
-from .errors import GraphCycleError, MonopolyError, StructureError, ValidationError
+from .errors import GraphCycleError, StructureError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -61,38 +60,19 @@ def components(h: DependencyGraph) -> list[frozenset[int]]:
 
 def build_dependency(restricted: core.SetSystemInstance,
                      cap: int = flows.DEFAULT_ENUM_CAP) -> DependencyGraph:
-    """Dependency graph of a monopoly-free (restricted) system.
+    """Dependency graph of a system restricted by `core.restrict`.
 
-    Tests every agent pair against the minimal feasible sets.
+    Tests every agent pair against the minimal feasible sets; `restrict`
+    has already rejected a monopoly among them.
     """
     agents = sorted(core.system_agents(restricted))
     minimal = core.minimal_feasible_sets(restricted, cap)
-    inter = frozenset(agents)
-    for m in minimal:
-        inter &= m
-    if not minimal or inter:
-        raise MonopolyError("restricted system is not monopoly-free")
     edges = set()
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
             if not any(a not in m and b not in m for m in minimal):
                 edges.add((a, b))
     return DependencyGraph(tuple(agents), frozenset(edges))
-
-
-def multipartite_dependency(parts: Sequence[Sequence[int]]) -> DependencyGraph:
-    """Complete multipartite graph: agents in different parts are joined.
-
-    This is the dependency graph of an r-out-of-k system pruned to r+1
-    groups, whose parts are the groups' agent ids.
-    """
-    edges = set()
-    for i, part_a in enumerate(parts):
-        for part_b in parts[i + 1:]:
-            for u in part_a:
-                for v in part_b:
-                    edges.add((min(u, v), max(u, v)))
-    return DependencyGraph(tuple(sorted(a for part in parts for a in part)), frozenset(edges))
 
 
 def build_dependency_kpath(g: flows.DiGraph, gstar: flows.IntegralFlow,

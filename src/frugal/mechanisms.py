@@ -30,8 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import core, dependency, flows, spectral
 from .errors import (
@@ -52,14 +53,22 @@ BID_TOTAL_CAP = sys.float_info.max / 4
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """Winners, per-winner thresholds and payments of one mechanism run."""
+    """Winners, per-winner thresholds and payments of one mechanism run.
 
-    pruned: frozenset[int]
+    Each value and set is stored once (`_pay`), so that callers can keep
+    many outcomes: several fields are read-only views.  `payments`
+    computes min(t1, t2), `winners` is the key set of the payments and
+    `pruned` that of the lift's weights.  An r-out-of-k outcome also
+    computes t1 and t2 from its group totals and holds no per-agent value,
+    so its size does not grow with the groups.
+    """
+
+    pruned: AbstractSet[int]
     lift: Optional[spectral.SpectralLift]
-    winners: frozenset[int]
-    t1: dict[int, float]
-    t2: dict[int, float]
-    payments: dict[int, float]
+    winners: AbstractSet[int]
+    t1: Mapping[int, float]
+    t2: Mapping[int, float]
+    payments: Mapping[int, float]
     total_payment: float
 
 
@@ -73,27 +82,91 @@ def _check_bids(bids: Sequence[float], n: int):
         raise ValidationError(f"bids total more than {BID_TOTAL_CAP}")
 
 
-def _pay(pruned: Iterable[int], lifted: Optional[spectral.SpectralLift],
-         winners: frozenset[int], bids: Sequence[float],
-         payment_agents: Optional[Iterable[int]],
-         thresholds: Callable[[int], tuple[float, float]]) -> MechanismOutcome:
+class _Recomputed(Mapping[int, float]):
+    """t1 (`pick` 0) or t2 (`pick` 1) of each agent of `targets`, read from
+    `thresholds` on each access."""
+
+    __slots__ = ("targets", "thresholds", "pick")
+
+    def __init__(self, targets: AbstractSet[int],
+                 thresholds: Callable[[int], tuple[float, float]], pick: int):
+        self.targets = targets
+        self.thresholds = thresholds
+        self.pick = pick
+
+    def __getitem__(self, e: int) -> float:
+        if e not in self.targets:
+            raise KeyError(e)
+        return self.thresholds(e)[self.pick]
+
+    def __contains__(self, e) -> bool:
+        return e in self.targets
+
+    def __iter__(self):
+        return iter(sorted(self.targets))
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def keys(self) -> AbstractSet[int]:
+        return self.targets
+
+
+class _Payments(Mapping[int, float]):
+    """min(t1[e], t2[e]) for each agent e of `t1`, computed on each access."""
+
+    __slots__ = ("t1", "t2")
+
+    def __init__(self, t1: Mapping[int, float], t2: Mapping[int, float]):
+        self.t1 = t1
+        self.t2 = t2
+
+    def __getitem__(self, e: int) -> float:
+        return min(self.t1[e], self.t2[e])
+
+    def __contains__(self, e) -> bool:
+        return e in self.t1
+
+    def __iter__(self):
+        return iter(self.t1)
+
+    def __len__(self) -> int:
+        return len(self.t1)
+
+    def keys(self) -> AbstractSet[int]:
+        return self.t1.keys()
+
+
+def _pay(lifted: Optional[spectral.SpectralLift], winners: AbstractSet[int],
+         bids: Sequence[float], payment_agents: Optional[Iterable[int]],
+         thresholds: Callable[[int], tuple[float, float]],
+         recompute: bool = False) -> MechanismOutcome:
     """Pay each winner in `payment_agents` (all winners by default) min(t1, t2).
 
     `thresholds` is called once per paid winner, in increasing id order.
+    The outcome stores each value and set once: payments is the view
+    min(t1, t2), `pruned` the key set of the lift's weights (every agent
+    when there is no lift, as in VCG) and `winners`, when all of them are
+    paid, that of the payments.  With `recompute`, t1 and t2 are
+    `_Recomputed` maps that call `thresholds` again on each access instead
+    of storing a value per winner.
     """
     targets = winners if payment_agents is None else winners & frozenset(payment_agents)
-    t1: dict[int, float] = {}
-    t2: dict[int, float] = {}
-    payments: dict[int, float] = {}
-    for e in sorted(targets):
-        t1[e], t2[e] = thresholds(e)
-        payments[e] = min(t1[e], t2[e])
-        if payments[e] < bids[e] - PAY_TOL:
+    found = {e: thresholds(e) for e in sorted(targets)}
+    for e, (t1, t2) in found.items():
+        if min(t1, t2) < bids[e] - PAY_TOL:
             raise StructureError(
-                f"payment {payments[e]} below bid {bids[e]} for winner {e}")
-    return MechanismOutcome(
-        frozenset(pruned), lifted, frozenset(winners), t1, t2,
-        payments, float(sum(payments.values())))
+                f"payment {min(t1, t2)} below bid {bids[e]} for winner {e}")
+    total = float(sum(min(t1, t2) for t1, t2 in found.values()))
+    if recompute:
+        first, second = _Recomputed(targets, thresholds, 0), _Recomputed(targets, thresholds, 1)
+    else:
+        first = {e: t[0] for e, t in found.items()}
+        second = {e: t[1] for e, t in found.items()}
+    payments = _Payments(first, second)
+    pruned = frozenset(range(len(bids))) if lifted is None else lifted.weights.keys()
+    paid = payments.keys() if payment_agents is None else frozenset(winners)
+    return MechanismOutcome(pruned, lifted, paid, first, second, payments, total)
 
 
 def threshold_bid(win_predicate: Callable[[float], bool], upper: float,
@@ -206,7 +279,7 @@ def run_pruning_lifting(instance: core.SetSystemInstance, bids: Sequence[float],
         return (_cheapest_threshold(lambda c: pruner(list(c.values())), bid_costs, surviving, e),
                 lifted.weights[e] * _cheapest_threshold(select, scaled, winners, e))
 
-    return _pay(surviving, lifted, winners, bids, payment_agents, thresholds)
+    return _pay(lifted, winners, bids, payment_agents, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +317,7 @@ def _kpath_outcome(g: flows.DiGraph, bids: Sequence[float], k: int,
         return (flows.residual_detour(pruned, e),
                 lifted.weights[e] * flows.residual_detour(winning, e))
 
-    return _pay(gstar.edge_ids, lifted, winner_flow.edge_ids, bids, payment_agents, thresholds)
+    return _pay(lifted, winner_flow.edge_ids, bids, payment_agents, thresholds)
 
 
 def kpath_mechanism(g: flows.DiGraph, bids: Sequence[float], k: int,
@@ -404,7 +477,7 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
             _, dual = _primal_dual_pass(graph, {**scaled, v: math.inf})
             return math.inf, lifted.weights[v] * dual[v]
 
-    return _pay(range(graph.n_vertices), lifted, winners, bids, payment_agents, thresholds)
+    return _pay(lifted, winners, bids, payment_agents, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +487,29 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
 def r_out_of_k_mechanism(system: core.ROutOfKSystem, bids: Sequence[float],
                          payment_agents: Optional[Iterable[int]] = None) -> MechanismOutcome:
     """Keep the r+1 cheapest groups, lift by the group-balance weights,
-    then drop the group with the highest scaled total."""
+    then drop the group with the highest scaled total.
+
+    The pruned dependency graph is complete (r+1)-partite on the kept
+    groups, so its Perron vector is constant on each group, and with
+    g_i = |group i| (`spectral.multipartite_lift`):
+      1. alpha x_i = sum over j != i of g_j x_j = S - g_i x_i, S = sum g_j x_j;
+      2. so x_i = S / (alpha + g_i);
+      3. multiplying by g_i and summing over i, alpha is the root of
+         f(alpha) = sum g_i / (alpha + g_i) - 1.
+    f is decreasing and convex on alpha >= 0, with f(0) = r > 0, so Newton's
+    method from alpha = 0 climbs monotonically to the root: left of the
+    root f > 0 > f', so each step goes forward, and the tangent lies below
+    the convex f, so f >= 0 where it meets zero and the next iterate is
+    still left of the root.  In floats it stops at the first step that
+    does not increase alpha; no tolerance or round cap is needed.
+
+    Winner e of group i pays min(t1, t2), with c_i the bids of group i
+    less e's: t1 = c(boundary group) - c_i, the bid at which group i
+    falls behind the cheapest pruned group (math.inf when no group is
+    pruned), and t2 = x_i * (largest scaled total of the other kept
+    groups) - c_i, the bid at which group i is the one discarded.  That
+    largest total is the discarded group's, the same for every winner.
+    """
     groups = system.groups
     r = system.r
     k = len(groups)
@@ -426,22 +521,35 @@ def r_out_of_k_mechanism(system: core.ROutOfKSystem, bids: Sequence[float],
     kept = order[: r + 1]
     boundary = order[r + 1] if k > r + 1 else None
 
-    h = dependency.multipartite_dependency([groups[i] for i in kept])
-    lifted = spectral.lift(h)
-    x = {i: lifted.weights[groups[i][0]] for i in kept}
-    scaled_group = {i: group_bid[i] / x[i] for i in kept}
-    discard = max(kept, key=lambda i: (scaled_group[i], i))
-    winner_groups = [i for i in kept if i != discard]
-    winners = frozenset(a for i in winner_groups for a in groups[i])
+    lifted = spectral.multipartite_lift(system, kept)
+    x = lifted.weights.by_group
+    discard = max(kept, key=lambda i: (group_bid[i] / x[i], i))
+    winners = core.GroupMembers(system, [i for i in kept if i != discard])
+    thresholds = _GroupThresholds(system.group_of, tuple(bids), group_bid, boundary, x,
+                                  group_bid[discard] / x[discard])
+    return _pay(lifted, winners, bids, payment_agents, thresholds, recompute=True)
 
-    def thresholds(e: int) -> tuple[float, float]:
-        gi = next(i for i in winner_groups if e in groups[i])
-        rest = group_bid[gi] - bids[e]
-        rival = max(scaled_group[j] for j in kept if j != gi)
-        t1 = math.inf if boundary is None else group_bid[boundary] - rest
-        return t1, x[gi] * rival - rest
 
-    return _pay(h.nodes, lifted, winners, bids, payment_agents, thresholds)
+class _GroupThresholds:
+    """(t1, t2) of a winner of `r_out_of_k_mechanism`, from the group totals.
+
+    `rival` is the discarded group's scaled total; the outcome's maps call
+    this on each access, so it holds a copy of the bids.
+    """
+
+    __slots__ = ("group_of", "bids", "group_bid", "boundary", "x", "rival")
+
+    def __init__(self, group_of: Sequence[int], bids: tuple[float, ...],
+                 group_bid: list[float], boundary: Optional[int],
+                 x: list[Optional[float]], rival: float):
+        self.group_of, self.bids, self.group_bid = group_of, bids, group_bid
+        self.boundary, self.x, self.rival = boundary, x, rival
+
+    def __call__(self, e: int) -> tuple[float, float]:
+        gi = self.group_of[e]
+        rest = self.group_bid[gi] - self.bids[e]
+        t1 = math.inf if self.boundary is None else self.group_bid[self.boundary] - rest
+        return t1, self.x[gi] * self.rival - rest
 
 
 # ---------------------------------------------------------------------------
@@ -493,4 +601,4 @@ def vcg(instance: core.SetSystemInstance, bids: Sequence[float],
     def thresholds(e: int) -> tuple[float, float]:
         return math.inf, _cheapest_threshold(select, costs, winners, e)
 
-    return _pay(range(n), None, winners, bids, payment_agents, thresholds)
+    return _pay(None, winners, bids, payment_agents, thresholds)

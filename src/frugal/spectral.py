@@ -1,5 +1,10 @@
 """Principal eigenpairs of dependency-graph components and the lifting weights.
 
+r-out-of-k weights come from the (r+1)x(r+1) quotient of the complete
+multipartite dependency graph (`multipartite_lift`), with no graph built.
+Every other lift (k-paths, vertex covers, the generic engine) runs power
+iteration on each component of an explicit `DependencyGraph` (`lift`).
+
 Power iteration runs on A + I so bipartite components cannot oscillate
 with period two; the reported eigenvalue subtracts the shift.  Weights
 are normalized to maximum 1 within each component, which leaves the
@@ -9,12 +14,14 @@ across components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dependency import DependencyGraph, components, multipartite_dependency
+from . import core
+from .dependency import DependencyGraph, components
 from .errors import ConvergenceError, ValidationError
 
 INTERNAL_TOL = 1e-12
@@ -27,7 +34,7 @@ class SpectralLift:
     """Per-agent positive weights with the per-component principal eigenvalues."""
 
     alpha: float
-    weights: dict[int, float]
+    weights: Mapping[int, float]
     component_alphas: tuple[float, ...]
     residual: float
 
@@ -101,24 +108,32 @@ def lift(h: DependencyGraph) -> SpectralLift:
     return SpectralLift(max(alphas), weights, tuple(alphas), residual)
 
 
-def solve_lozenge(part_sizes: Sequence[int], r: int):
-    """Balance equations of the r-out-of-k lifting, via the expanded eigenproblem.
+def multipartite_lift(system: core.ROutOfKSystem, kept: Sequence[int]) -> SpectralLift:
+    """Perron weights of the complete multipartite graph on the `kept` groups, from its quotient.
 
-    Returns (beta, per-part weights); beta * r equals the principal
-    eigenvalue of the complete (r+1)-partite dependency graph and the
-    expanded weight vector is its Perron vector, max-normalized.
+    Every agent of group i gets x_i = (alpha + g_min) / (alpha + g_i), with
+    g_i = |group i| and alpha the root of sum_i g_i / (alpha + g_i) = 1,
+    found by Newton's method (`mechanisms.r_out_of_k_mechanism` derives
+    both).  The smallest group gets exactly 1.0.  The residual is that of
+    the expanded eigenproblem, which is the same for every agent of a
+    group.  The weights are a `core.GroupMap`, which holds one weight per group.
     """
-    if r < 1:
-        raise ValidationError("r must be at least 1")
-    if len(part_sizes) != r + 1:
-        raise ValidationError("need exactly r+1 part sizes")
-    parts = []
-    nxt = 0
-    for size in part_sizes:
-        if size < 1:
-            raise ValidationError("part sizes must be positive")
-        parts.append(tuple(range(nxt, nxt + size)))
-        nxt += size
-    lifted = lift(multipartite_dependency(parts))
-    x = tuple(float(np.mean([lifted.weights[v] for v in part])) for part in parts)
-    return lifted.alpha / r, x
+    if len(kept) < 2:
+        raise ValidationError("need at least two groups")
+    sizes = [len(system.groups[i]) for i in kept]
+    alpha = 0.0
+    while True:
+        excess = math.fsum([-1.0] + [g / (alpha + g) for g in sizes])
+        slope = math.fsum([g / (alpha + g) ** 2 for g in sizes])
+        nxt = alpha + excess / slope
+        if not nxt > alpha:
+            break
+        alpha = nxt
+    g_min = min(sizes)
+    x = [(alpha + g_min) / (alpha + g) for g in sizes]
+    total = math.fsum([g * xi for g, xi in zip(sizes, x)])
+    residual = max(abs(total - g * xi - alpha * xi) for g, xi in zip(sizes, x))
+    by_group: list[Optional[float]] = [None] * len(system.groups)
+    for i, xi in zip(kept, x):
+        by_group[i] = xi
+    return SpectralLift(alpha, core.GroupMap(system, by_group), (alpha,), residual)

@@ -175,6 +175,31 @@ def brute_minimal_sets(universe: int, feasible_fn) -> list[frozenset[int]]:
     return sorted((s for s in feas if not any(o < s for o in feas)), key=sorted)
 
 
+def consecutive_parts(sizes) -> list[tuple[int, ...]]:
+    """Parts of the given sizes over agent ids 0, 1, ..., in order."""
+    parts, nxt = [], 0
+    for size in sizes:
+        parts.append(tuple(range(nxt, nxt + size)))
+        nxt += size
+    return parts
+
+
+def multipartite_dependency(parts) -> DependencyGraph:
+    """Complete multipartite graph: agents in different parts are joined.
+
+    The expanded dependency graph of an r-out-of-k system pruned to r+1
+    groups, whose parts are the groups' agent ids; `spectral.lift` of it
+    is the oracle for `spectral.multipartite_lift`.
+    """
+    edges = set()
+    for i, part_a in enumerate(parts):
+        for part_b in parts[i + 1:]:
+            for u in part_a:
+                for v in part_b:
+                    edges.add((min(u, v), max(u, v)))
+    return DependencyGraph(tuple(sorted(a for part in parts for a in part)), frozenset(edges))
+
+
 def brute_dependency_kpath(g: DiGraph, gstar, k: int) -> DependencyGraph:
     """Pairwise dependency oracle for a k-path system pruned to `gstar`.
 

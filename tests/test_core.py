@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from frugal import flows
 from frugal.core import (
     ExplicitSystem,
+    GroupMap,
+    GroupMembers,
     KPathSystem,
     ROutOfKSystem,
     UndirectedGraph,
@@ -35,6 +37,22 @@ def test_feasible_r_out_of_k():
     assert is_feasible(sys3, {0, 1, 2})            # groups 1 and 2 complete
     assert not is_feasible(sys3, {0, 1})           # group 2 is partial
     assert not is_feasible(sys3, set())
+
+
+def test_group_views_behave_as_a_frozenset_and_a_dict():
+    system = ROutOfKSystem(((4, 0), (1,), (2, 5), (3,)), 2)
+    assert system.group_of == (0, 1, 2, 3, 0, 2)
+    members = GroupMembers(system, [2, 0])
+    agents = frozenset({0, 2, 4, 5})
+    assert list(members) == sorted(agents) and len(members) == 4
+    assert members == agents and agents == members
+    assert all((a in members) == (a in agents) for a in (-1, 0, 1, 3, 5, 6, "0", None))
+    assert frozenset({0, 4}) <= members and not members <= frozenset({0, 4})
+    assert members & {1, 2, 3} == frozenset({2}) and isinstance(members & {2}, frozenset)
+    weights = GroupMap(system, [0.5, None, 1.0, None])
+    assert weights == {0: 0.5, 2: 1.0, 4: 0.5, 5: 1.0} and weights.keys() == members
+    with pytest.raises(KeyError):
+        weights[1]
 
 
 def test_feasible_kpath_diamond():

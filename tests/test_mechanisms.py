@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
-from frugal import flows
+from frugal import dependency, flows, spectral
 from frugal.core import (
+    GroupMap,
     KPathSystem,
     ROutOfKSystem,
     UndirectedGraph,
@@ -29,13 +31,15 @@ from frugal.mechanisms import (
     vertex_cover_mechanism,
 )
 from frugal.mechanisms import _cover_branch_and_bound
-from frugal.spectral import lift
+from frugal.spectral import PUBLIC_TOL, lift
 
 from fixtures import (
     DIAMOND_COSTS,
     brute_max_flow,
+    consecutive_parts,
     diamond,
     layered_grid,
+    multipartite_dependency,
     para,
     para_costs,
     random_digraph,
@@ -286,6 +290,103 @@ def test_r_out_of_k_group_of_four():
 def test_r_out_of_k_too_few_groups():
     with pytest.raises(ValidationError):
         r_out_of_k_mechanism(ROutOfKSystem(((0,), (1,)), 2), [1.0, 2.0])
+
+
+def random_groups(rng, sizes):
+    """Groups of the given sizes over a shuffled range of agent ids."""
+    agents = list(range(sum(sizes)))
+    rng.shuffle(agents)
+    return tuple(tuple(agents[a] for a in part) for part in consecutive_parts(sizes))
+
+
+def expanded_lift(system, kept):
+    """Oracle for `spectral.multipartite_lift`: power iteration on the expanded graph.
+
+    Swapping two equal-size groups is an automorphism of the graph, so the
+    Perron vector depends only on group size; one weight is read per size,
+    as power iteration's ulp noise would otherwise break exact ties
+    between equal groups at random.
+    """
+    parts = [system.groups[i] for i in kept]
+    lifted = spectral.lift(multipartite_dependency(parts))
+    by_size = {}
+    for part in parts:
+        by_size.setdefault(len(part), lifted.weights[part[0]])
+    by_group = [None] * len(system.groups)
+    for i in kept:
+        by_group[i] = by_size[len(system.groups[i])]
+    weights = GroupMap(system, by_group)
+    return spectral.SpectralLift(lifted.alpha, weights, lifted.component_alphas, lifted.residual)
+
+
+def test_r_out_of_k_quotient_matches_expanded_lift(monkeypatch):
+    # Integer bids in 0..3 tie group totals (among them zero totals) and
+    # the scaled totals of equal-size groups; uniform bids do not.
+    rng = random.Random(101)
+    quotient_lift = spectral.multipartite_lift
+    for trial in range(240):
+        r = rng.randint(1, 4)
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(r + 1, r + 3))]
+        system = ROutOfKSystem(random_groups(rng, sizes), r)
+        if trial % 2:
+            bids = [rng.uniform(0.0, 5.0) for _ in range(sum(sizes))]
+        else:
+            bids = [float(rng.randint(0, 3)) for _ in range(sum(sizes))]
+        monkeypatch.setattr(spectral, "multipartite_lift", quotient_lift)
+        got = r_out_of_k_mechanism(system, bids)
+        monkeypatch.setattr(spectral, "multipartite_lift", expanded_lift)
+        want = r_out_of_k_mechanism(system, bids)
+        assert got.pruned == want.pruned
+        assert got.winners == want.winners
+        assert got.payments.keys() == want.payments.keys()
+        for e, pay in want.payments.items():
+            assert got.payments[e] == pytest.approx(pay, rel=1e-9)
+
+
+def test_r_out_of_k_builds_no_graph_and_runs_no_power_iteration(monkeypatch):
+    # The weights come from the quotient alone: no DependencyGraph, no
+    # `spectral.lift`, no `principal_eigen`.
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "principal_eigen",
+                        counting("principal_eigen", spectral.principal_eigen))
+    monkeypatch.setattr(spectral, "lift", counting("lift", spectral.lift))
+    monkeypatch.setattr(dependency, "DependencyGraph",
+                        counting("DependencyGraph", dependency.DependencyGraph))
+    assert not hasattr(dependency, "multipartite_dependency")
+    rng = random.Random(103)
+    for _ in range(20):
+        r = rng.randint(1, 4)
+        sizes = [rng.randint(1, 9) for _ in range(rng.randint(r + 1, r + 3))]
+        system = ROutOfKSystem(random_groups(rng, sizes), r)
+        r_out_of_k_mechanism(system, [rng.uniform(0.0, 5.0) for _ in range(sum(sizes))])
+    assert calls == []
+    # The counters are live: a k-path auction goes through all three.
+    kpath_mechanism(diamond(), DIAMOND_COSTS, 1)
+    assert {"principal_eigen", "lift", "DependencyGraph"} <= set(calls)
+
+
+def test_r_out_of_k_lifts_groups_of_tens_of_thousands():
+    # The expanded graph of these groups has about 1.6e9 edges.
+    rng = random.Random(107)
+    sizes = (20_000, 30_000, 25_000)
+    system = ROutOfKSystem(random_groups(rng, sizes), 2)
+    bids = [rng.uniform(1.0, 2.0) for _ in range(sum(sizes))]
+    start = time.perf_counter()
+    out = r_out_of_k_mechanism(system, bids)
+    elapsed = time.perf_counter() - start
+    alpha = out.lift.alpha
+    assert out.lift.residual <= PUBLIC_TOL * max(1.0, alpha)
+    assert len(out.pruned) == sum(sizes)
+    assert len(out.payments) == len(out.winners) >= 45_000
+    assert all(out.payments[e] >= bids[e] for e in out.winners)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,18 @@ import random
 
 import pytest
 
-from frugal.dependency import DependencyGraph, components, multipartite_dependency
+from frugal.core import ROutOfKSystem
+from frugal.dependency import DependencyGraph, components
+from frugal.errors import ValidationError
 from frugal.spectral import (
+    PUBLIC_TOL,
     eigen_residual,
     lift,
+    multipartite_lift,
     principal_eigen,
-    solve_lozenge,
 )
+
+from fixtures import consecutive_parts, multipartite_dependency
 
 
 def complete_bipartite(a, b):
@@ -72,19 +77,31 @@ def test_lift_two_components():
     assert max(lifted.weights[v] for v in (4, 5)) == pytest.approx(1.0)
 
 
+def lift_all_groups(parts):
+    """`multipartite_lift` of a system whose groups are `parts`, all kept."""
+    return multipartite_lift(ROutOfKSystem(tuple(parts), len(parts) - 1), range(len(parts)))
+
+
+def group_balance(sizes):
+    """(beta, per-part weights) of `multipartite_lift`; beta * r is its alpha."""
+    parts = consecutive_parts(sizes)
+    lifted = lift_all_groups(parts)
+    return lifted.alpha / (len(sizes) - 1), tuple(lifted.weights[p[0]] for p in parts)
+
+
 def test_single_edge_multipartite():
-    beta, x = solve_lozenge((1, 1), 1)
+    beta, x = group_balance((1, 1))
     assert beta == pytest.approx(1.0, abs=1e-9)
     assert x == pytest.approx((1.0, 1.0), abs=1e-9)
 
 
 def test_lozenge_examples():
-    beta, _ = solve_lozenge((1, 4), 1)
+    beta, _ = group_balance((1, 4))
     assert beta == pytest.approx(2.0, abs=1e-9)
-    beta3, _ = solve_lozenge((1, 1, 1), 2)
+    beta3, _ = group_balance((1, 1, 1))
     assert beta3 == pytest.approx(1.0, abs=1e-9)
     for a, b in [(2, 3), (1, 5), (4, 4)]:
-        beta_ab, _ = solve_lozenge((a, b), 1)
+        beta_ab, _ = group_balance((a, b))
         assert beta_ab == pytest.approx(math.sqrt(a * b), abs=1e-8)
 
 
@@ -94,15 +111,38 @@ def test_lozenge_balance_equations():
     for _ in range(25):
         r = rng.randint(1, 4)
         sizes = tuple(rng.randint(1, 6) for _ in range(r + 1))
-        beta, x = solve_lozenge(sizes, r)
+        beta, x = group_balance(sizes)
         for i in range(r + 1):
             rhs = sum(x[j] * sizes[j] for j in range(r + 1) if j != i) / (r * x[i])
             assert rhs == pytest.approx(beta, abs=1e-8)
         # Agreement with the expanded eigenproblem.
-        blocks = [tuple(range(sum(sizes[:i]), sum(sizes[:i + 1]))) for i in range(r + 1)]
-        lifted = lift(multipartite_dependency(blocks))
+        lifted = lift(multipartite_dependency(consecutive_parts(sizes)))
         assert abs(beta * r - lifted.alpha) <= 1e-8
         assert max(x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_multipartite_lift_matches_expanded_power_iteration():
+    rng = random.Random(97)
+    for _ in range(200):
+        r = rng.randint(1, 7)
+        parts = consecutive_parts([rng.randint(1, 25) for _ in range(r + 1)])
+        quotient = lift_all_groups(parts)
+        expanded = lift(multipartite_dependency(parts))
+        assert quotient.alpha == pytest.approx(expanded.alpha, rel=1e-9)
+        assert quotient.component_alphas == (quotient.alpha,)
+        assert quotient.weights.keys() == expanded.weights.keys()
+        assert list(quotient.weights) == sorted(expanded.weights)
+        for a, w in expanded.weights.items():
+            assert abs(quotient.weights[a] - w) <= 1e-9
+        assert quotient.residual <= PUBLIC_TOL
+        assert max(quotient.weights.values()) == 1.0
+        for part in parts:
+            assert len({quotient.weights[a] for a in part}) == 1
+
+
+def test_multipartite_lift_rejects_a_single_group():
+    with pytest.raises(ValidationError):
+        multipartite_lift(ROutOfKSystem(((0, 1), (2,)), 1), [0])
 
 
 def test_degree_bounds_on_alpha():
