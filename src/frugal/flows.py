@@ -1,28 +1,18 @@
 """Directed s-t network algorithms on unit-capacity graphs.
 
 Everything here works on integral flows: a flow of size k is an edge set
-that decomposes into exactly k edge-disjoint s-t paths.  Cost ties are
-broken by the exact integer key `tie_key`: among m edges, edge id e adds
-2^(m-1-e), so of two equally cheap edge sets the one that avoids the
-smallest id on which they differ wins.  The key is a Python int, so its
-sums never round at any graph size.  It is additive and positive, which
-makes every optimum unique, keeps optimal supports cycle-free, and makes
-the pruning stage of the auction mechanisms deterministic and
-independent of the bid of any surviving agent.  The mechanisms break
-their selection ties by the same key.  Once a cheapest flow is known, the
-cheapest flow of the same size that avoids one of its edges e = (u, v) is
-one shortest u -> v path away in its residual graph (`residual_detour`),
-so the k-path thresholds need no second min-cost flow.
-
-Costs are compared exactly.  Every finite float is an integer over a
-power of two, so each cost vector becomes Python ints over one shared
-power-of-two denominator and no sum rounds.  `min_cost_flow` folds the
-tie key into the same int: edge e weighs (c << (m+1)) + 2^(m-1-e).  The
-tie part of a simple residual path lies in (-2^m, 2^m), so two paths'
-tie parts differ by less than 2^(m+1), and the shift by m+1 lets cost
-decide first.  Max-flow augmenting paths (zero weights), min-cost
+that decomposes into exactly k edge-disjoint s-t paths.  Every selection
+in the package, here and in `mechanisms`, ranks sets by one rule,
+`exact_weights`: exact cost, then the smallest differing id.  No selector
+uses a tolerance.  The weights are positive ints, so every optimum is
+unique, optimal flow supports are cycle-free, and the auctions' pruning
+is deterministic and independent of any surviving agent's bid.  Once a
+cheapest flow is known, the cheapest flow of the same size that avoids
+one of its edges e = (u, v) is one shortest u -> v path away in its
+residual graph (`residual_detour`), so the k-path thresholds need no
+second min-cost flow.  Max-flow augmenting paths (zero weights), min-cost
 augmenting paths and the detours all run one Bellman-Ford,
-`_residual_search`, with no tolerance.
+`_residual_search`, on ints.
 """
 
 from __future__ import annotations
@@ -118,13 +108,17 @@ class ArticulationDecomposition:
     parts: tuple[frozenset[int], ...]
 
 
-def tie_key(ids: Iterable[int], m: int) -> int:
-    """Exact tie-break key of a set of ids drawn from 0..m-1: sum of 2^(m-1-id).
+def exact_weights(costs: Iterable[float], ids: Iterable[int], m: int) -> list[int]:
+    """Weight (c << (m+1)) + 2^(m-1-id) of each id of `ids` (all below m),
+    c its entry of `costs` as an int over one shared power-of-two denominator.
 
-    The smaller key wins a tie.  Distinct sets get distinct keys, and
-    their order does not depend on m once m exceeds every id.
+    The package's single selection rule: no sum of weights rounds, and the
+    tie part of a set is below 2^m (of a simple residual path, in
+    (-2^m, 2^m)), so the smaller summed weight has the smaller cost or, at
+    exactly equal cost, avoids the smallest id on which the two differ.
     """
-    return sum(1 << (m - 1 - i) for i in ids)
+    exact, _ = _exact_costs(costs)
+    return [(c << (m + 1)) + (1 << (m - 1 - i)) for c, i in zip(exact, ids)]
 
 
 def max_flow_value(g: DiGraph, allowed: Optional[Iterable[int]] = None) -> int:
@@ -135,22 +129,13 @@ def max_flow_value(g: DiGraph, allowed: Optional[Iterable[int]] = None) -> int:
 
 def min_cost_flow(g: DiGraph, costs: Sequence[float], k: int,
                   allowed: Optional[Iterable[int]] = None) -> IntegralFlow:
-    """Cheapest integral flow of size exactly k; cost ties go to the smaller `tie_key`.
-
-    Successive shortest augmenting paths under one exact integer weight
-    per edge e, (c << (m+1)) + 2^(m-1-e), with c its cost over the shared
-    denominator.  A simple residual path's tie part lies in (-2^m, 2^m),
-    so the tie parts of two paths differ by less than 2^(m+1): the shift
-    by m+1 lets cost decide first and `tie_key` break exact ties.  The
-    optimum is unique and its support is cycle-free even when costs tie.
-    """
+    """Cheapest integral flow of size exactly k under `exact_weights`, by
+    successive shortest augmenting paths; unique, with a cycle-free support."""
     _check_costs(g, costs)
     if k < 0:
         raise ValidationError("flow size must be non-negative")
     usable = range(g.n_edges) if allowed is None else frozenset(allowed)
-    exact, _ = _exact_costs(costs)
-    m = g.n_edges
-    weights = [(c << (m + 1)) + (1 << (m - 1 - eid)) for eid, c in enumerate(exact)]
+    weights = exact_weights(costs, range(g.n_edges), g.n_edges)
     carried, size = _augment(g, usable, weights, k)
     if size < k:
         raise InfeasibleFlowError(
@@ -202,7 +187,7 @@ def residual_detour(residual: ResidualGraph, e: int) -> float:
     return dist if dist == math.inf else dist / residual.denominator
 
 
-def _exact_costs(costs: Sequence[float]) -> tuple[list[int], int]:
+def _exact_costs(costs: Iterable[float]) -> tuple[list[int], int]:
     """Costs as ints over one shared power-of-two denominator, with no rounding.
 
     Every finite float is p / 2^j, so the largest denominator is a multiple

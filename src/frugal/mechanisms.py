@@ -7,6 +7,10 @@ min(t1, t2): the highest bids with which it still survives pruning and,
 pruned set and weights held fixed, still wins selection.  Infinite
 thresholds are math.inf, never a large float.
 
+Every selector ranks sets by their summed `flows.exact_weights`: exact
+cost, then the smallest differing id.  None uses a tolerance, so each
+stage buys the same set at any bid magnitude.
+
 A stage that picks the cheapest member S of a bid-independent family pays
 e in S c(A) - c(S - e), A the cheapest member avoiding e, or math.inf if
 none does (Archer & Tardos, SODA 2002).  `_cheapest_threshold` finds A by
@@ -22,7 +26,8 @@ pass (`vertex_cover_mechanism`), and r-out-of-k pays a closed form.
 
 Every mechanism ends in `_pay`, the single payment path: it picks the
 winners to pay, asks the mechanism's own `thresholds(e) -> (t1, t2)` for
-each of them, checks payment >= bid and builds the `MechanismOutcome`.
+each of them, checks payment >= bid - PAY_TOL * (total bid) and builds
+the `MechanismOutcome`.
 """
 
 from __future__ import annotations
@@ -153,8 +158,9 @@ def _pay(lifted: Optional[spectral.SpectralLift], winners: AbstractSet[int],
     """
     targets = winners if payment_agents is None else winners & frozenset(payment_agents)
     found = {e: thresholds(e) for e in sorted(targets)}
+    slack = PAY_TOL * sum(bids)
     for e, (t1, t2) in found.items():
-        if min(t1, t2) < bids[e] - PAY_TOL:
+        if min(t1, t2) < bids[e] - slack:
             raise StructureError(
                 f"payment {min(t1, t2)} below bid {bids[e]} for winner {e}")
     total = float(sum(min(t1, t2) for t1, t2 in found.values()))
@@ -209,8 +215,12 @@ def _cheapest_threshold(rule: Callable[[dict[int, float]], Iterable[int]],
     trial = dict(costs)
     trial[e] = 1.0 + 2.0 * sum(costs.values())
     alt = frozenset(rule(trial))
-    if e in alt:
-        return math.inf
+    return math.inf if e in alt else _avoid_gap(costs, alt, chosen, e)
+
+
+def _avoid_gap(costs: Mapping[int, float], alt: Iterable[int], chosen: Iterable[int],
+               e: int) -> float:
+    """c(alt) - c(chosen - e), correctly rounded."""
     return math.fsum([costs[o] for o in alt] + [-costs[o] for o in chosen if o != e])
 
 
@@ -218,26 +228,13 @@ def _cheapest_threshold(rule: Callable[[dict[int, float]], Iterable[int]],
 # Generic engine
 
 
-def _wins_tie(cost: float, cand: Iterable[int], best_cost: float,
-              best: Iterable[int], m: int) -> bool:
-    # Totals within 1e-12 tie; `flows.tie_key` is only computed then.
-    return (abs(cost - best_cost) <= 1e-12
-            and flows.tie_key(cand, m) < flows.tie_key(best, m))
-
-
 def argmin_selector(restricted: core.ExplicitSystem, scaled: dict[int, float]) -> frozenset[int]:
-    """Feasible generating set with the smallest scaled total.
-
-    Ties go to the smaller `flows.tie_key`, the rule `flows.min_cost_flow`
-    uses, so the generic engine and the k-path mechanism pick the same set.
-    """
-    best = None
-    for cand in restricted.feasible:
-        cost = sum(scaled[e] for e in cand)
-        if best is None or cost < best[0] - 1e-12 or _wins_tie(
-                cost, cand, best[0], best[1], restricted.n_agents):
-            best = (cost, cand)
-    return frozenset(best[1])
+    """Feasible generating set of smallest summed `flows.exact_weights`: exact
+    scaled cost, then the smallest differing id, with no tolerance.  It is
+    `flows.min_cost_flow`'s rule, so the generic engine buys what
+    `kpath_mechanism` buys at any bid magnitude."""
+    weight = dict(zip(scaled, flows.exact_weights(scaled.values(), scaled, restricted.n_agents)))
+    return min(restricted.feasible, key=lambda cand: sum(weight[e] for e in cand))
 
 
 def kpath_pruner(g: flows.DiGraph, k: int) -> Callable[[Sequence[float]], frozenset[int]]:
@@ -335,13 +332,16 @@ def kpath_mechanism(g: flows.DiGraph, bids: Sequence[float], k: int,
 
 
 def _cover_branch_and_bound(graph: core.UndirectedGraph, scaled: dict[int, float],
-                            exclude: Optional[int] = None) -> tuple[float, frozenset[int]]:
-    """Minimum scaled-cost vertex cover; ties go to the smaller `flows.tie_key`."""
+                            exclude: Optional[int] = None) -> frozenset[int]:
+    """Vertex cover without `exclude` of smallest summed `flows.exact_weights`
+    (exact scaled cost, then the smallest differing vertex; no tolerance).
+    Weights are positive, so a branch is cut once it reaches the best cover."""
+    weight = dict(zip(scaled, flows.exact_weights(scaled.values(), scaled, graph.n_vertices)))
     edges = graph.edges
     best: list = [math.inf, None]
 
-    def rec(idx: int, chosen: set[int], cost: float):
-        if cost > best[0] + 1e-12:
+    def rec(idx: int, chosen: set[int], cost: int):
+        if cost >= best[0]:
             return
         while idx < len(edges):
             u, v = edges[idx]
@@ -349,19 +349,16 @@ def _cover_branch_and_bound(graph: core.UndirectedGraph, scaled: dict[int, float
                 idx += 1
                 continue
             if u != exclude:
-                rec(idx + 1, chosen | {u}, cost + scaled[u])
+                rec(idx + 1, chosen | {u}, cost + weight[u])
             if v != exclude:
-                rec(idx + 1, chosen | {v}, cost + scaled[v])
+                rec(idx + 1, chosen | {v}, cost + weight[v])
             return
-        if best[1] is None or cost < best[0] - 1e-12 or _wins_tie(
-                cost, chosen, best[0], best[1], graph.n_vertices):
-            best[0] = cost
-            best[1] = frozenset(chosen)
+        best[0], best[1] = cost, frozenset(chosen)
 
-    rec(0, set(), 0.0)
+    rec(0, set(), 0)
     if best[1] is None:
         raise MonopolyError("no vertex cover avoids the excluded vertex")
-    return best[0], best[1]
+    return best[1]
 
 
 def _primal_dual_pass(graph: core.UndirectedGraph,
@@ -426,12 +423,13 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
     N(v) for the neighbours of v.  The lift is the Perron vector of the
     graph itself, so sum over v in N(u) of w_v <= alpha * w_u.
 
-    `exact` selects the scaled-cost optimum by branch and bound, with ties
-    going to the smaller `flows.tie_key`.  Its total payment is at most
-    alpha * c(V - S):
-      1. (S - {v}) + (N(v) - S) is a cover avoiding v, so the cheapest such
-         cover costs at most s(S) - s_v + s(N(v) - S);
-      2. hence t_v = w_v * (avoid_cost - s(S) + s_v) <= w_v * s(N(v) - S);
+    `exact` buys, by branch and bound, the cover of smallest summed
+    `flows.exact_weights`: exact scaled cost, then the smallest differing
+    vertex, with no tolerance.  Winner v is paid w_v * (s(A) - s(S - v)),
+    A the cheapest cover avoiding v.  The total is at most alpha * c(V - S):
+      1. (S - {v}) + (N(v) - S) is a cover avoiding v, so
+         s(A) <= s(S) - s_v + s(N(v) - S);
+      2. hence t_v <= w_v * s(N(v) - S);
       3. summing over v in S and swapping the sums gives at most
          sum over u outside S of s_u * alpha * w_u = alpha * c(V - S).
 
@@ -464,12 +462,11 @@ def vertex_cover_mechanism(graph: core.UndirectedGraph, bids: Sequence[float],
     scaled = {v: bids[v] / lifted.weights[v] for v in range(graph.n_vertices)}
 
     if mode == "exact":
-        winners = _cover_branch_and_bound(graph, scaled)[1]
-        cover_cost = sum(scaled[v] for v in winners)
+        winners = _cover_branch_and_bound(graph, scaled)
 
         def thresholds(v: int) -> tuple[float, float]:
-            avoid_cost, _ = _cover_branch_and_bound(graph, scaled, exclude=v)
-            return math.inf, lifted.weights[v] * (avoid_cost - cover_cost + scaled[v])
+            avoid = _cover_branch_and_bound(graph, scaled, exclude=v)
+            return math.inf, lifted.weights[v] * _avoid_gap(scaled, avoid, winners, v)
     else:
         winners = primal_dual_cover(graph, scaled)
 
@@ -516,7 +513,7 @@ def r_out_of_k_mechanism(system: core.ROutOfKSystem, bids: Sequence[float],
     if k < r + 1:
         raise ValidationError(f"need at least {r + 1} groups, got {k}")
     _check_bids(bids, core.n_agents(system))
-    group_bid = [sum(bids[a] for a in grp) for grp in groups]
+    group_bid = [math.fsum(bids[a] for a in grp) for grp in groups]
     order = sorted(range(k), key=lambda i: (group_bid[i], i))
     kept = order[: r + 1]
     boundary = order[r + 1] if k > r + 1 else None

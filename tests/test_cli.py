@@ -84,3 +84,10 @@ def test_instance_the_mechanism_rejects_exits_with_code_1(tmp_path, capsys):
                 "graph": {"n_vertices": 2, "edges": [[0, 1]], "s": 0, "t": 1}}
     code, out, err = _run(tmp_path, capsys, instance)
     assert code == 1 and out == "" and "InfeasibleFlowError" in err
+
+
+def test_exact_cover_above_the_size_cap_exits_with_code_1(tmp_path, capsys):
+    instance = {"kind": "vertex_cover", "mode": "exact", "bids": [1.0] * 31,
+                "graph": {"n_vertices": 31, "edges": [[v, v + 1] for v in range(30)]}}
+    code, out, err = _run(tmp_path, capsys, instance)
+    assert code == 1 and out == "" and "SizeCapError" in err

@@ -13,6 +13,7 @@ from frugal.flows import (
     cheapest_kplus1_subgraph,
     delta_kplus1,
     enumerate_flow_unions,
+    exact_weights,
     flow_cost_curve,
     flow_paths,
     longest_path_dag,
@@ -20,7 +21,6 @@ from frugal.flows import (
     min_cost_flow,
     residual_detour,
     residual_graph,
-    tie_key,
 )
 from frugal.mechanisms import argmin_selector, kpath_mechanism
 
@@ -82,7 +82,8 @@ def test_min_cost_flow_tie_break_is_exact_past_53_edges():
     edges[70] = edges[71] = (1, 2)
     g = DiGraph(3, tuple(edges), 0, 2)
     costs = [1.0] * 72
-    assert tie_key({1, 71}, 72) < tie_key({1, 70}, 72)
+    weights = exact_weights(costs, range(72), 72)
+    assert weights[1] + weights[71] < weights[1] + weights[70]
     f = min_cost_flow(g, costs, 1)
     assert f.edge_ids == frozenset({1, 71})
     assert f.cost == 2.0

@@ -15,7 +15,13 @@ from frugal.core import (
     VertexCoverSystem,
 )
 from frugal.dependency import build_dependency_kpath, components
-from frugal.errors import MonopolyError, MonotonicityError, ValidationError
+from frugal.errors import (
+    MonopolyError,
+    MonotonicityError,
+    SizeCapError,
+    StructureError,
+    ValidationError,
+)
 from frugal.flows import DiGraph, cheapest_kplus1_subgraph, max_flow_value, min_cost_flow
 from frugal.mechanisms import (
     argmin_selector,
@@ -30,7 +36,7 @@ from frugal.mechanisms import (
     vcg,
     vertex_cover_mechanism,
 )
-from frugal.mechanisms import _cover_branch_and_bound
+from frugal.mechanisms import _cover_branch_and_bound, _pay
 from frugal.spectral import PUBLIC_TOL, lift
 
 from fixtures import (
@@ -42,6 +48,7 @@ from fixtures import (
     multipartite_dependency,
     para,
     para_costs,
+    parallel_edges,
     random_digraph,
     resolve_kpath_thresholds,
     star_graph,
@@ -114,6 +121,26 @@ def test_analytic_thresholds_examples():
     assert t1_e1 == pytest.approx(9.0)  # (2+9) - (1+2) + 1
 
 
+def test_tied_bids_at_a_billion_raise_no_spurious_payment_error():
+    # Above about 8.4e6 one ulp exceeds PAY_TOL, and w * (b / w) for a
+    # winner whose threshold equals its bid can round one ulp below b; the
+    # payment check's slack grows with the total bid, so that is no error.
+    rng = random.Random(11)
+    for _ in range(200):
+        g = layered_grid(rng, 6, 4)
+        bids = [float(rng.randint(1, 4)) * 1e9 for _ in range(g.n_edges)]
+        out = kpath_mechanism(g, bids, 2)
+        assert all(out.payments[e] >= bids[e] * (1 - 1e-15) for e in out.winners)
+
+
+def test_pay_rejects_a_payment_below_a_tiny_bid():
+    # A threshold 10% below a bid of 1e-13 is a fault, however small.
+    with pytest.raises(StructureError, match="below bid"):
+        _pay(None, frozenset({0}), [1e-13, 1e-13], None, lambda e: (math.inf, 0.9e-13))
+    out = _pay(None, frozenset({0}), [1e-13, 1e-13], None, lambda e: (math.inf, 1e-13))
+    assert out.payments[0] == 1e-13
+
+
 def test_voluntary_participation_kpath():
     rng = random.Random(61)
     for _ in range(25):
@@ -140,10 +167,20 @@ def test_vertex_cover_star():
 
 
 def test_vertex_cover_single_edge():
+    # Totals 1e-13 and 2e-13 once fell inside a 1e-12 tie window, which
+    # bought vertex 1 and paid it 1e-13, below its bid.
     g = UndirectedGraph(2, ((0, 1),))
-    out = vertex_cover_mechanism(g, [0.0, 1.0])
-    assert out.winners == frozenset({0})
-    assert out.payments[0] == pytest.approx(1.0)
+    for bids in ([0.0, 1.0], [1e-13, 2e-13]):
+        out = vertex_cover_mechanism(g, bids)
+        assert out.winners == frozenset({0})
+        assert out.payments[0] == pytest.approx(bids[1], rel=1e-12)
+
+
+def test_exact_cover_above_the_size_cap_raises():
+    g = UndirectedGraph(31, tuple((v, v + 1) for v in range(30)))
+    with pytest.raises(SizeCapError):
+        vertex_cover_mechanism(g, [1.0] * 31, mode="exact")
+    assert vertex_cover_mechanism(g, [1.0] * 31, mode="approx2").winners
 
 
 def test_vertex_cover_triangle():
@@ -210,7 +247,7 @@ def test_approx2_cover_quality():
         assert out.winners == primal_dual_cover(g, scaled)
         for u, v in g.edges:
             assert u in out.winners or v in out.winners
-        opt_cost, _ = _cover_branch_and_bound(g, scaled)
+        opt_cost = sum(scaled[v] for v in _cover_branch_and_bound(g, scaled))
         assert sum(scaled[v] for v in out.winners) <= 2.0 * opt_cost + 1e-9
 
 
@@ -285,6 +322,19 @@ def test_r_out_of_k_group_of_four():
     out = r_out_of_k_mechanism(system, [1.0, 0.0, 0.0, 0.0, 0.0])
     assert out.winners == frozenset({1, 2, 3, 4})
     assert out.total_payment == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bids", [
+    [0.3, 0.2, 0.1, 0.1, 0.2, 0.3, 5.0],
+    [0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 5.0],
+], ids=["descending", "ascending"])
+def test_r_out_of_k_tie_does_not_depend_on_the_order_within_a_group(bids):
+    # Groups 0 and 1 hold the same three bids, so their totals tie; summed
+    # left to right, 0.3 + 0.2 + 0.1 gives 0.6 but 0.1 + 0.2 + 0.3 gives
+    # 0.6000000000000001.  The tie goes to the smaller group index.
+    system = ROutOfKSystem(((0, 1, 2), (3, 4, 5), (6,)), 1)
+    out = r_out_of_k_mechanism(system, bids)
+    assert out.winners == frozenset({0, 1, 2})
 
 
 def test_r_out_of_k_too_few_groups():
@@ -412,6 +462,22 @@ def test_vcg_single_edge_cover():
     out = vcg(VertexCoverSystem(UndirectedGraph(2, ((0, 1),))), [0.0, 1.0])
     assert out.winners == frozenset({0})
     assert out.payments[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "generic"])
+def test_parallel_edges_at_tiny_bids_buy_the_cheapest_edge(mechanism):
+    # Bids (3, 1, 2) * 1e-13 differ by less than 1e-12: the generic engine
+    # and VCG must still buy edge 1, as kpath_mechanism does, and pay it
+    # no less than its bid.
+    g = parallel_edges(3)
+    bids = [3e-13, 1e-13, 2e-13]
+    if mechanism == "vcg":
+        out = vcg(KPathSystem(g, 1), bids)
+    else:
+        out = run_pruning_lifting(KPathSystem(g, 1), bids, kpath_pruner(g, 1), argmin_selector)
+        assert out.payments == kpath_mechanism(g, bids, 1).payments
+    assert out.winners == frozenset({1})
+    assert out.payments[1] == pytest.approx(2e-13, rel=1e-12)
 
 
 def test_vcg_monopoly():
@@ -675,7 +741,8 @@ def test_kpath_tied_bids_on_92_edges_complete():
     _assert_matches_resolve_oracle(g, bids, 2, kpath_mechanism(g, bids, 2))
 
 
-def test_generic_engine_matches_kpath(monkeypatch):
+@pytest.mark.parametrize("scale", [1.0, 1e-13])
+def test_generic_engine_matches_kpath(monkeypatch, scale):
     # Each generic threshold is one re-run of the pruner or the selector
     # with the winner priced out: the same values as kpath_mechanism's
     # residual detours, from one min-cost flow for pruning plus one per
@@ -696,7 +763,7 @@ def test_generic_engine_matches_kpath(monkeypatch):
     rng = random.Random(83)
     for _ in range(8):
         g, k = random_kpath_instance(rng, max_vertices=5, max_edges=8)
-        bids = [float(rng.randint(0, 9)) for _ in range(g.n_edges)]
+        bids = [rng.randint(0, 9) * scale for _ in range(g.n_edges)]
         fast = kpath_mechanism(g, bids, k)
         calls.clear()
         generic = run_pruning_lifting(
@@ -707,7 +774,7 @@ def test_generic_engine_matches_kpath(monkeypatch):
         for e in fast.winners:
             assert same(generic.t1[e], fast.t1[e]), (e, generic.t1[e], fast.t1[e])
             assert same(generic.t2[e], fast.t2[e]), (e, generic.t2[e], fast.t2[e])
-            assert fast.payments[e] == pytest.approx(generic.payments[e], abs=1e-6)
+            assert fast.payments[e] == pytest.approx(generic.payments[e], abs=1e-6 * scale)
 
 
 def test_generic_engine_monopoly_error():
